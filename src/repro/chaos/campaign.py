@@ -160,7 +160,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
     },
     # Fleet scale: the ci-preset failure mix scaled onto the 1024-machine
     # a3mega-fleet1k catalog spec (64 racks of 16, topology-aware
-    # placement, bucketed timeline).  No base grid — every cell is
+    # placement).  No base grid — every cell is
     # off-grid because each carries the full fleet shape; failure and
     # degradation rates scale with the machine count (64x the 16-machine
     # grids).  The nightly fleet-scale CI job runs this with --sanitize.
@@ -181,7 +181,6 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "num_standby": 8,
                 "seeds": (0, 1, 2),
                 "horizon_days": 0.25,
-                "timeline": "bucket",
             },
             {
                 "name": "gemini-fleet1k-degraded",
@@ -198,7 +197,6 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "horizon_days": 0.25,
                 "degradations": ("bandwidth", "straggler"),
                 "degradation_events_per_day": 96.0,
-                "timeline": "bucket",
             },
             {
                 "name": "tiercheck-fleet1k-rack",
@@ -213,7 +211,6 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "num_standby": 8,
                 "seeds": (0, 1, 2),
                 "horizon_days": 0.25,
-                "timeline": "bucket",
             },
             {
                 "name": "reft-fleet1k-rack",
@@ -231,7 +228,6 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "num_standby": 8,
                 "seeds": (0, 1, 2),
                 "horizon_days": 0.25,
-                "timeline": "bucket",
             },
         ),
     },

@@ -105,12 +105,6 @@ class ChaosScenario:
     #: them from the chaos-domains stream (the legacy behavior);
     #: "topology" downs *real racks* of the named ``cluster`` spec.
     domain_source: str = "random"
-    #: simulator event-queue implementation ("" = binary heap;
-    #: "bucket"/"calendar" = the calendar queue, which fleet-scale cells
-    #: use).  Results are bit-identical either way — the queue preserves
-    #: the engine's total order — but the choice is part of the spec, so
-    #: it participates in the hash (omitted at the default).
-    timeline: str = ""
 
     def __post_init__(self):
         if isinstance(self.policy_kwargs, dict):
@@ -182,11 +176,6 @@ class ChaosScenario:
                     'domain_source="topology" only applies to the '
                     f"correlated failure model, not {self.failure_model!r}"
                 )
-        if self.timeline not in ("", "bucket", "calendar"):
-            raise ValueError(
-                f'timeline must be "", "bucket", or "calendar", '
-                f"got {self.timeline!r}"
-            )
 
     # ---------------------------------------------------------- identity
 
@@ -223,8 +212,6 @@ class ChaosScenario:
             payload["cluster"] = self.cluster
         if self.domain_source != "random":
             payload["domain_source"] = self.domain_source
-        if self.timeline:
-            payload["timeline"] = self.timeline
         return payload
 
     @classmethod
@@ -304,7 +291,6 @@ class ChaosScenario:
             num_standby=self.num_standby,
             sanitize=self.sanitize,
             cluster_spec=cluster_spec,
-            timeline=self.timeline or None,
         )
         auditor = RecoveryInvariantAuditor(system)
         streams = RandomStreams(seed)
@@ -417,6 +403,4 @@ class ChaosScenario:
             row["cluster"] = self.cluster
         if self.domain_source != "random":
             row["domain_source"] = self.domain_source
-        if self.timeline:
-            row["timeline"] = self.timeline
         return row

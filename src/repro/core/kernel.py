@@ -346,7 +346,6 @@ class SimulatedTrainingSystem:
         sanitize: bool = False,
         cluster_spec: Optional["ClusterSpec"] = None,
         macro_ticks: bool = True,
-        timeline: Optional[str] = None,
     ):
         if cluster_spec is not None and num_machines != cluster_spec.num_machines:
             raise ValueError(
@@ -374,7 +373,6 @@ class SimulatedTrainingSystem:
         self.sim = Simulator(
             obs=self.obs if self.obs.enabled else None,
             sanitize=sanitize,
-            timeline=timeline,
         )
         self.obs.bind_clock(lambda: self.sim.now)
         self.rng = RandomStreams(seed)

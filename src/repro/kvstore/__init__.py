@@ -10,17 +10,11 @@ prefix watches, and lease-based leader election.
 
 from repro.kvstore.store import KVStore, Lease, WatchEvent, WatchEventType
 from repro.kvstore.election import Election
-from repro.kvstore.txn import Compare, CompareOp, Delete, Put, Txn
 
 __all__ = [
-    "Compare",
-    "CompareOp",
-    "Delete",
     "Election",
     "KVStore",
     "Lease",
-    "Put",
-    "Txn",
     "WatchEvent",
     "WatchEventType",
 ]

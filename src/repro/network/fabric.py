@@ -16,13 +16,13 @@ from-scratch model lives in :mod:`repro.network.reference` and the
 differential test pins the two against each other on random workloads.
 
 Active-flow state is flyweight-indexed: every active flow occupies a slot
-``_pos`` in the fabric's parallel ``_rem``/``_rates`` arrays (numpy when
-available, plain lists otherwise), and the hot loops — settle, next-finish
-scan, finished detection — walk those arrays instead of chasing Flow
-objects.  Slots are compacted with swap-remove, so iteration order over
-``_act`` is insertion order, not set order.  Arithmetic is elementwise
-float64 either way, so vector and scalar paths produce bit-identical
-results; ``_VECTOR_MIN`` just gates when the numpy call overhead pays off.
+``_pos`` in the fabric's parallel numpy ``_rem``/``_rates`` arrays, and the
+hot loops — settle, next-finish scan, finished detection — walk those
+arrays instead of chasing Flow objects.  Slots are compacted with
+swap-remove, so iteration order over ``_act`` is insertion order, not set
+order.  Below ``_VECTOR_MIN`` active flows numpy's per-call overhead costs
+more than a scalar loop over the same arrays; arithmetic is elementwise
+float64 either way, so the vector and scalar paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ import itertools
 import math
 from typing import Dict, List, Optional, Set
 
-try:  # numpy accelerates the flow-state arrays; plain lists work without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 from repro.sim import Event, Simulator
 
@@ -174,12 +171,8 @@ class Fabric:
         self._act: List[Flow] = []
         #: parallel slot arrays holding each active flow's remaining bytes
         #: and assigned rate; swap-remove compacted, ``_n`` slots in use.
-        if _np is not None:
-            self._rem = _np.zeros(_INITIAL_SLOTS)
-            self._rates = _np.zeros(_INITIAL_SLOTS)
-        else:  # pragma: no cover - exercised only without numpy
-            self._rem = []
-            self._rates = []
+        self._rem = _np.zeros(_INITIAL_SLOTS)
+        self._rates = _np.zeros(_INITIAL_SLOTS)
         self._n = 0
         #: links whose flow count changed since the last rate recompute;
         #: only flows touching these can see a different fair share.
@@ -430,15 +423,11 @@ class Fabric:
         """Give ``flow`` a slot in the parallel arrays (it becomes active)."""
         pos = self._n
         self._act.append(flow)
-        if _np is not None:
-            if pos == len(self._rem):
-                self._rem = _np.concatenate([self._rem, _np.zeros(pos)])
-                self._rates = _np.concatenate([self._rates, _np.zeros(pos)])
-            self._rem[pos] = flow._remaining
-            self._rates[pos] = flow._rate
-        else:  # pragma: no cover - exercised only without numpy
-            self._rem.append(flow._remaining)
-            self._rates.append(flow._rate)
+        if pos == len(self._rem):
+            self._rem = _np.concatenate([self._rem, _np.zeros(pos)])
+            self._rates = _np.concatenate([self._rates, _np.zeros(pos)])
+        self._rem[pos] = flow._remaining
+        self._rates[pos] = flow._rate
         flow._pos = pos
         self._n = pos + 1
 
@@ -458,9 +447,6 @@ class Fabric:
             rem[pos] = rem[last]
             rates[pos] = rates[last]
         act.pop()
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            rem.pop()
-            rates.pop()
         flow._pos = -1
         self._n = last
 
@@ -479,7 +465,7 @@ class Fabric:
             n = self._n
             rem = self._rem
             rates = self._rates
-            if _np is not None and n >= _VECTOR_MIN:
+            if n >= _VECTOR_MIN:
                 view = rem[:n]
                 view -= rates[:n] * elapsed
                 _np.maximum(view, 0.0, out=view)
@@ -533,7 +519,7 @@ class Fabric:
         if n:
             rem = self._rem
             rates = self._rates
-            if _np is not None and n >= _VECTOR_MIN:
+            if n >= _VECTOR_MIN:
                 rates_view = rates[:n]
                 mask = rates_view > 0.0
                 if mask.any():
@@ -556,7 +542,7 @@ class Fabric:
         self._settle()
         n = self._n
         rem = self._rem
-        if _np is not None and n >= _VECTOR_MIN:
+        if n >= _VECTOR_MIN:
             done_idx = _np.nonzero(rem[:n] <= _EPS)[0]
             finished = [self._act[index] for index in done_idx]
         else:

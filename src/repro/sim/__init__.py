@@ -37,12 +37,10 @@ from repro.sim.events import (
 from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.sanitize import DeterminismViolation, determinism_guard
-from repro.sim.timeline import BucketTimeline, make_timeline
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BucketTimeline",
     "Callback",
     "DeterminismViolation",
     "Event",
@@ -59,5 +57,4 @@ __all__ = [
     "Timeout",
     "determinism_guard",
     "events_tally",
-    "make_timeline",
 ]

@@ -14,12 +14,10 @@ from typing import TYPE_CHECKING, Any, Callable, ContextManager, Generator, List
 
 from repro.sim.events import AllOf, AnyOf, Callback, Event, Process, Timeout
 from repro.sim.sanitize import determinism_guard
-from repro.sim.timeline import BucketTimeline, make_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs import Observability
     from repro.obs.metrics import Counter, Gauge
-    from typing import Union
 
 # Priority lanes within a single timestamp.
 _URGENT = 0
@@ -67,7 +65,6 @@ class Simulator:
         start_time: float = 0.0,
         obs: Optional["Observability"] = None,
         sanitize: bool = False,
-        timeline: "Union[str, BucketTimeline, None]" = None,
     ):
         self.now: float = float(start_time)
         #: when True, ambient nondeterminism sources (module-level
@@ -78,12 +75,6 @@ class Simulator:
         # The guard/no-op choice is resolved once here, not per run()
         # call, so back-to-back macro-tick run() calls pay no setup.
         self._sanitize_factory = determinism_guard if self.sanitize else nullcontext
-        # Optional calendar queue ("bucket"/"calendar" by name, or an
-        # instance).  None keeps the binary heap and its inlined hot loop.
-        if timeline is None or isinstance(timeline, BucketTimeline):
-            self._timeline = timeline
-        else:
-            self._timeline = make_timeline(timeline)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -143,17 +134,7 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float = 0.0, urgent: bool = False) -> None:
         self._seq += 1
         lane = _URGENT if urgent else _NORMAL
-        entry = (self.now + delay, lane, self._seq, event)
-        if self._timeline is None:
-            heapq.heappush(self._queue, entry)
-        else:
-            self._timeline.push(entry)
-
-    def _pending(self) -> int:
-        """Number of scheduled events, whichever queue backs the loop."""
-        if self._timeline is None:
-            return len(self._queue)
-        return len(self._timeline)
+        heapq.heappush(self._queue, (self.now + delay, lane, self._seq, event))
 
     # -- running ---------------------------------------------------------------
 
@@ -163,23 +144,18 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if self._timeline is not None:
-            return self._timeline.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Pop and fire the next event.  Raises IndexError on an empty queue."""
-        if self._timeline is None:
-            time, _lane, _seq, event = heapq.heappop(self._queue)
-        else:
-            time, _lane, _seq, event = self._timeline.pop()
+        time, _lane, _seq, event = heapq.heappop(self._queue)
         if time < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
         self.now = time
         self.events_processed += 1
         if self._evt_counter is not None and self._depth_gauge is not None:
             self._evt_counter.inc()
-            self._depth_gauge.set(self._pending())
+            self._depth_gauge.set(len(self._queue))
         event._run_callbacks()
 
     def run(self, until: Optional[float] = None) -> Any:
@@ -195,44 +171,25 @@ class Simulator:
         # (usually disabled) instrument handles are resolved once per run
         # instead of per event — the loop body is pure local-variable work.
         global _EVENTS_TALLY
-        timeline = self._timeline
+        queue = self._queue
+        pop = heapq.heappop
         evt_counter = self._evt_counter
         depth_gauge = self._depth_gauge
         entry = self.events_processed
         try:
             with self._sanitize_factory():
-                if timeline is None:
-                    queue = self._queue
-                    pop = heapq.heappop
-                    while queue:
-                        if until is not None and queue[0][0] > until:
-                            break
-                        time, _lane, _seq, event = pop(queue)
-                        if time < self.now:
-                            raise SimulationError(
-                                "event queue corrupted: time went backwards"
-                            )
-                        self.now = time
-                        self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(queue))
-                        event._run_callbacks()
-                else:
-                    while timeline:
-                        if until is not None and timeline.peek_time() > until:
-                            break
-                        time, _lane, _seq, event = timeline.pop()
-                        if time < self.now:
-                            raise SimulationError(
-                                "event queue corrupted: time went backwards"
-                            )
-                        self.now = time
-                        self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(timeline))
-                        event._run_callbacks()
+                while queue:
+                    if until is not None and queue[0][0] > until:
+                        break
+                    time, _lane, _seq, event = pop(queue)
+                    if time < self.now:
+                        raise SimulationError("event queue corrupted: time went backwards")
+                    self.now = time
+                    self.events_processed += 1
+                    if evt_counter is not None and depth_gauge is not None:
+                        evt_counter.inc()
+                        depth_gauge.set(len(queue))
+                    event._run_callbacks()
         except StopSimulation as stop:
             return stop.value
         finally:
@@ -249,7 +206,7 @@ class Simulator:
         """
         with self._sanitize_factory():
             while not event.triggered:
-                if not self._pending():
+                if not self._queue:
                     raise SimulationError(f"queue drained before {event!r} triggered")
                 if limit is not None and self.peek() > limit:
                     raise SimulationError(f"{event!r} not triggered by t={limit}")
@@ -264,4 +221,4 @@ class Simulator:
         raise StopSimulation(value)
 
     def __repr__(self) -> str:
-        return f"<Simulator t={self.now} queued={self._pending()}>"
+        return f"<Simulator t={self.now} queued={len(self._queue)}>"

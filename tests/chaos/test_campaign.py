@@ -1,5 +1,6 @@
 """Chaos scenarios, grids, presets, and the campaign report."""
 
+import dataclasses
 import json
 
 import pytest
@@ -117,6 +118,19 @@ class TestGridAndPresets:
             assert scenarios, name
             for scenario in scenarios:
                 scenario.validate()
+
+    @pytest.mark.parametrize(
+        "cell", [cell["name"] for cell in CAMPAIGN_PRESETS["fleet"]["extra_cells"]]
+    )
+    def test_fleet_preset_cells_recover_cleanly(self, cell):
+        (scenario,) = [
+            scenario
+            for scenario in chaos_grid(**CAMPAIGN_PRESETS["fleet"])
+            if scenario.name == cell
+        ]
+        row = dataclasses.replace(scenario, seeds=(0,), horizon_days=0.05).run()
+        assert row["total_recoveries"] >= 1
+        assert row["violation_count"] == 0, row["violations"]
 
     def test_nightly_is_wider_than_ci(self):
         assert len(chaos_grid(**CAMPAIGN_PRESETS["nightly"])) > len(

@@ -5,14 +5,16 @@ and :mod:`repro.network.reference` share only the model spec — per-link
 equal-split fair shares, bottleneck min across a flow's links, sub-eps
 residues completing at completion events.  Running both over randomized
 workloads and requiring matching completion times catches any bookkeeping
-bug the incremental path could introduce.
+bug the incremental path could introduce.  The wide workloads hold enough
+flows at once to switch the fabric between its scalar and vector paths
+in both directions and to grow its slot arrays.
 """
 
 import random
 
 import pytest
 
-from repro.network.fabric import Fabric
+from repro.network.fabric import _INITIAL_SLOTS, _VECTOR_MIN, Fabric
 from repro.network.reference import (
     FlowSpec,
     PathFlowSpec,
@@ -23,6 +25,7 @@ from repro.network.topology import Position, RackTopology
 from repro.sim import Simulator
 
 NUM_WORKLOADS = 120
+NUM_WIDE_WORKLOADS = 6
 NUM_MULTIHOP_WORKLOADS = 60
 
 
@@ -50,6 +53,30 @@ def random_workload(seed):
     return capacities, specs
 
 
+def wide_workload(seed):
+    """100-200 flows starting 0.1 s apart on 8-16 machines.
+
+    Flows outlast the stagger, so the active count climbs past
+    ``_VECTOR_MIN`` and ``_INITIAL_SLOTS`` before draining back to zero.
+    """
+    rng = random.Random(seed)
+    machines = [f"m{i}" for i in range(rng.randint(8, 16))]
+    capacities = {name: rng.uniform(10.0, 200.0) for name in machines}
+    specs = []
+    for index in range(rng.randint(100, 200)):
+        src, dst = rng.sample(machines, 2)
+        specs.append(
+            FlowSpec(
+                start=index * 0.1,
+                src=src,
+                dst=dst,
+                nbytes=0.0 if index % 23 == 0 else rng.uniform(1000.0, 5000.0),
+                alpha=rng.choice([0.0, rng.uniform(0.0, 2.0)]),
+            )
+        )
+    return capacities, specs
+
+
 def fabric_completion_times(capacities, specs):
     """Run the same workload through the real DES fabric."""
     sim = Simulator()
@@ -69,14 +96,26 @@ def fabric_completion_times(capacities, specs):
     for index, spec in enumerate(specs):
         sim.call_at(spec.start, lambda index=index: launch(index))
     sim.run()
-    return [flow.finished_at for flow in flows]
+    return [flow.finished_at for flow in flows], len(fabric._rem)
 
 
-@pytest.mark.parametrize("seed", range(NUM_WORKLOADS))
-def test_fabric_matches_reference(seed):
-    capacities, specs = random_workload(seed)
+@pytest.mark.parametrize(
+    "workload, seed",
+    [pytest.param(random_workload, seed, id=str(seed)) for seed in range(NUM_WORKLOADS)]
+    + [
+        pytest.param(wide_workload, seed, id=f"wide{seed}")
+        for seed in range(NUM_WIDE_WORKLOADS)
+    ],
+)
+def test_fabric_matches_reference(workload, seed):
+    capacities, specs = workload(seed)
     expected = reference_completion_times(capacities, specs)
-    actual = fabric_completion_times(capacities, specs)
+    actual, slots = fabric_completion_times(capacities, specs)
+    if workload is wide_workload:
+        # The slot arrays grew, so more than _INITIAL_SLOTS > _VECTOR_MIN
+        # flows were active at once, and the run drained them all: the
+        # active count crossed the vector threshold in both directions.
+        assert slots > _INITIAL_SLOTS > _VECTOR_MIN
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert want is not None, f"reference never finished flow {index}"
