@@ -30,6 +30,15 @@ the system recovers from, the paper's safety/liveness promises:
 ``job-state`` (I6)
     Training resumes at the rollback point: ``committed_iteration ==
     rollback`` and ``current_iteration == rollback + 1``.
+``detection-window`` (I8, Section 3.2)
+    GEMINI-family policies with ``use_agents=True`` only.  A failure
+    that strikes a quiet cluster (no recovery in flight, every other
+    machine healthy, no earlier failure still undetected) is detected by
+    lease expiry: the next recovery's ``detected_at`` lies within
+    ``lease_ttl ± heartbeat_interval`` of the failure.  The last
+    heartbeat landed at most one interval before the failure, and the
+    first root scan at or after expiry at most one interval after it.
+    (I7 is reserved for the simulated-time ledger.)
 
 The auditor never schedules simulator events, draws randomness, or
 mutates system state, so an attached auditor changes no simulation
@@ -39,10 +48,11 @@ bytes (pinned by a golden-parity test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.machine import MachineState
 from repro.core.kernel import KernelListener, SimulatedTrainingSystem
+from repro.core.policy import GeminiConfig
 from repro.core.recovery import RecoveryPlan, RecoveryRecord, RetrievalSource
 from repro.failures.types import FailureEvent, FailureType
 
@@ -101,6 +111,17 @@ class RecoveryInvariantAuditor(KernelListener):
         self._initial_size = system.cluster.size
         self._failure_log: List[FailureEvent] = []
         self._last_plan: Optional[RecoveryPlan] = None
+        #: I8's (earliest, latest) detection delay, or None out of scope.
+        self._detection_window: Optional[Tuple[float, float]] = None
+        config = getattr(system.policy, "config", None)
+        if isinstance(config, GeminiConfig) and config.use_agents:
+            self._detection_window = (
+                config.lease_ttl - config.heartbeat_interval,
+                config.lease_ttl + config.heartbeat_interval,
+            )
+        #: time of the failure I8 waits to see detected, if any.
+        self._undetected_failure_at: Optional[float] = None
+        self._maybe_down: Set[int] = set()
         system.add_listener(self)
         self._wrap_planner(system.policy)
 
@@ -132,6 +153,7 @@ class RecoveryInvariantAuditor(KernelListener):
     def on_failure_injected(self, event: FailureEvent) -> None:
         self.audited_failures += 1
         self._failure_log.append(event)
+        self._note_detection_candidate(event)
         for rank in event.ranks:
             machine = self.system.cluster.machine(rank)
             if event.failure_type is FailureType.HARDWARE:
@@ -152,6 +174,7 @@ class RecoveryInvariantAuditor(KernelListener):
         self._audit_record_matches_plan(record)
         self._audit_job_state(record)
         self._audit_cluster_restored(record)
+        self._audit_detection_window(record)
 
     # ------------------------------------------------------------- plan audits
 
@@ -429,6 +452,44 @@ class RecoveryInvariantAuditor(KernelListener):
                 "cluster-restored",
                 f"ranks {unexplained} are still down after the recovery of "
                 f"{record.failed_ranks} with no newer failure explaining it",
+            )
+
+    def _note_detection_candidate(self, event: FailureEvent) -> None:
+        """Start I8's clock if ``event`` struck a quiet cluster.
+
+        Listeners run after the failure is applied, so "every machine was
+        healthy" is judged from ``_maybe_down``: the ranks down when the
+        last recovery completed plus every rank struck since.  It is
+        empty only when no recovery is needed and none is pending.
+        """
+        if self._detection_window is None:
+            return
+        if not self._maybe_down and not self.system.recovery_active:
+            self._undetected_failure_at = self.system.sim.now
+        self._maybe_down.update(event.ranks)
+
+    def _audit_detection_window(self, record: RecoveryRecord) -> None:
+        """Judge the pending quiet-cluster failure, if any, then restart
+        ``_maybe_down`` from the machines this recovery left down."""
+        if self._detection_window is None:
+            return
+        self._maybe_down = {
+            machine.rank
+            for machine in self.system.cluster.machines()
+            if not machine.is_healthy
+        }
+        failed_at = self._undetected_failure_at
+        if failed_at is None:
+            return
+        self._undetected_failure_at = None
+        earliest, latest = self._detection_window
+        delay = record.detected_at - failed_at
+        if not earliest - _TOL <= delay <= latest + _TOL:
+            self._report(
+                "detection-window",
+                f"failure at t={failed_at} detected at t={record.detected_at} "
+                f"({delay:g} s later), outside the lease window "
+                f"[{earliest:g}, {latest:g}] s",
             )
 
     # ---------------------------------------------------------------- summary

@@ -93,7 +93,9 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
         # Off-grid cell: down *real racks* of an oversubscribed rack
         # topology, with the topology-aware placement that is supposed to
         # survive exactly that.  The auditor's I3/I4 invariants must hold
-        # here like everywhere else.
+        # here like everywhere else.  The agents cell runs the paper's
+        # own detection path (§3.2 heartbeat leases, root scans and
+        # election) under I1-I6 and the I8 detection window.
         "extra_cells": (
             {
                 "name": "gemini-rack-failure",
@@ -104,6 +106,12 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "domain_size": 4,
                 "domain_source": "topology",
                 "policy_kwargs": (("placement_strategy", "topology"),),
+            },
+            {
+                "name": "gemini-agents-correlated",
+                "policy": "gemini",
+                "failure_model": "correlated",
+                "policy_kwargs": (("use_agents", True),),
             },
         ),
     },

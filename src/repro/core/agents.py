@@ -101,6 +101,11 @@ class RootAgent:
 
     Parameters
     ----------
+    election:
+        The root election every machine's root agent campaigns in (one
+        shared :class:`Election` on :data:`ROOT_ELECTION_KEY` per store,
+        so candidates queue in campaign order and the store carries a
+        single watch for it).
     on_failure_detected:
         Callback invoked with a :class:`DetectedFailure` whenever the scan
         finds ranks whose health keys have vanished.  The system wires this
@@ -113,6 +118,7 @@ class RootAgent:
         store: KVStore,
         cluster: Cluster,
         rank: int,
+        election: Election,
         on_failure_detected: Callable[[DetectedFailure], None],
         scan_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -125,7 +131,7 @@ class RootAgent:
         self.scan_interval = scan_interval
         self._stopped = False
         self._being_handled: Set[int] = set()
-        self.election = Election(store, ROOT_ELECTION_KEY)
+        self.election = election
         self._lease = store.grant_lease(lease_ttl)
         self._candidacy = self.election.campaign(f"rank-{rank}", self._lease)
         self._process = sim.process(self._scan_loop(), name=f"root-agent-{rank}")

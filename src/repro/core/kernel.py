@@ -435,6 +435,11 @@ class SimulatedTrainingSystem:
         """Attach a read-only :class:`KernelListener` (e.g. an auditor)."""
         self._listeners.append(listener)
 
+    @property
+    def recovery_active(self) -> bool:
+        """True while the policy's recovery process is running."""
+        return self._recovery_active
+
     # --------------------------------------------------------------- macro ticks
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.core.agents import DetectedFailure, RootAgent, WorkerAgent
+from repro.core.agents import ROOT_ELECTION_KEY, DetectedFailure, RootAgent, WorkerAgent
 from repro.core.kernel import CheckpointPolicy
 from repro.core.placement import Placement, PlacementStrategy, resolve_placement
 from repro.core.recovery import (
@@ -25,7 +25,7 @@ from repro.core.recovery import (
 )
 from repro.cluster.machine import MachineState
 from repro.failures.types import FailureEvent, FailureType
-from repro.kvstore import KVStore
+from repro.kvstore import Election, KVStore
 from repro.network.fabric import Fabric, TransferAborted
 from repro.storage.cpu_memory import CPUCheckpointStore
 from repro.trace import TraceKind
@@ -47,11 +47,16 @@ class GeminiConfig:
     lease_ttl: float = 15.0
     seed: int = 0
     cost_model: RecoveryCostModel = field(default_factory=RecoveryCostModel)
-    #: True: run real worker/root agents over the KV store (heartbeats,
-    #: leases, leader election) — full fidelity, but one event per agent
-    #: per heartbeat.  False: skip the agents and model detection as a
-    #: fixed delay after the failure, which makes week-long thousand-
-    #: machine simulations tractable.
+    #: True (the ``GeminiSystem`` default): every machine runs a worker
+    #: agent (heartbeats under a TTL lease) and a root agent (health scans,
+    #: a candidacy in the shared root election) over the KV store, so a
+    #: failure is detected when its lease expires (§3.2).  That costs two
+    #: timer events per machine per heartbeat interval plus a lease-expiry
+    #: callback per lease every other interval, and it turns macro-tick
+    #: coalescing off.  False: no agents; detection fires
+    #: ``cost_model.detection_delay`` after the failure and training
+    #: coalesces.  Sweeps, chaos campaigns and Monte Carlo runs default
+    #: to False.
     use_agents: bool = True
     #: replica placement: "mixed" (paper Algorithm 1, the default),
     #: "group", "ring", or "topology" (fault-domain-interleaved mixed —
@@ -128,6 +133,7 @@ class GeminiPolicy(CheckpointPolicy):
 
         # Agents (or the lightweight fixed-delay detection stand-in).
         if self.config.use_agents:
+            self.root_election = Election(self.kvstore, ROOT_ELECTION_KEY)
             for machine in kernel.cluster:
                 self._spawn_agents(machine.rank)
 
@@ -149,6 +155,7 @@ class GeminiPolicy(CheckpointPolicy):
             self.kvstore,
             kernel.cluster,
             rank,
+            election=self.root_election,
             on_failure_detected=kernel.begin_recovery,
             scan_interval=self.config.heartbeat_interval,
             lease_ttl=self.config.lease_ttl,

@@ -38,7 +38,15 @@ class WatchEvent:
 
 
 class Lease:
-    """A TTL lease; attached keys are deleted when it expires."""
+    """A TTL lease; attached keys are deleted when it expires.
+
+    Exactly one expiry callback is pending per live lease.  A refresh only
+    moves ``expires_at``; when the pending callback fires and finds the
+    lease refreshed since it was armed, it re-arms at the new
+    ``expires_at`` instead of expiring.  A heartbeating lease therefore
+    schedules a callback only when the previous one fires (every other
+    heartbeat at a 15 s TTL and 5 s heartbeat), not on every refresh.
+    """
 
     _ids = itertools.count(1)
 
@@ -61,7 +69,6 @@ class Lease:
         if self.revoked:
             raise RuntimeError(f"lease {self.lease_id} already revoked")
         self.expires_at = self.store.sim.now + self.ttl
-        self._arm_expiry()
 
     def revoke(self) -> None:
         """Explicitly end the lease, deleting attached keys (idempotent)."""
@@ -75,8 +82,11 @@ class Lease:
         self.store.sim.call_at(expected, lambda: self._maybe_expire(expected))
 
     def _maybe_expire(self, expected: float) -> None:
-        if self.revoked or self.expires_at != expected:
-            return  # revoked, or refreshed since this timer was armed
+        if self.revoked:
+            return
+        if self.expires_at != expected:
+            self._arm_expiry()  # refreshed since this timer was armed
+            return
         self.revoked = True
         self.store._on_lease_end(self)
 
@@ -111,11 +121,6 @@ class KVStore:
         """Value at ``key``, or None."""
         entry = self._data.get(key)
         return entry[0] if entry else None
-
-    def get_with_revision(self, key: str) -> Optional[Tuple[Any, int]]:
-        """(value, mod_revision) at ``key``, or None."""
-        entry = self._data.get(key)
-        return (entry[0], entry[1]) if entry else None
 
     def get_prefix(self, prefix: str) -> Dict[str, Any]:
         """All key->value pairs under ``prefix``, sorted by key."""

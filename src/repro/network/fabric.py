@@ -530,7 +530,9 @@ class Fabric:
                     if rate > 0:
                         finish = rem[index] / rate
                         if finish < next_finish:
-                            next_finish = finish
+                            # A Python float, so no numpy scalar reaches
+                            # the simulated clock.
+                            next_finish = float(finish)
         if math.isfinite(next_finish):
             self.sim.call_after(
                 max(next_finish, _MIN_WAKEUP), lambda: self._on_wakeup(token)

@@ -1,5 +1,7 @@
 """Recovery invariant auditor: clean runs audit clean, liars get caught."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import (
@@ -153,3 +155,88 @@ class TestViolationDetection:
         attach_failures(system)
         with pytest.raises(InvariantViolationError):
             system.run(4 * HOUR)
+
+
+def build_agent_system(num_machines=16):
+    """Agent-mode GEMINI: detection by lease expiry and root scans."""
+    from repro.cluster import P4D_24XLARGE
+    from repro.core.kernel import SimulatedTrainingSystem
+    from repro.experiments import create_policy
+    from repro.training import GPT2_100B
+
+    return SimulatedTrainingSystem(
+        GPT2_100B,
+        P4D_24XLARGE,
+        num_machines,
+        create_policy("gemini", use_agents=True),
+        num_standby=2,
+    )
+
+
+def shift_detection(policy, seconds):
+    """Make the policy's recoveries report ``detected_at`` off by ``seconds``."""
+    original = policy.recover
+
+    def lying_recover(detected):
+        return original(
+            dataclasses.replace(detected, detected_at=detected.detected_at + seconds)
+        )
+
+    policy.recover = lying_recover
+
+
+class TestDetectionWindow:
+    def test_agent_detections_audit_clean(self):
+        system = build_agent_system()
+        auditor = RecoveryInvariantAuditor(system)
+        failures = [
+            FailureEvent(1003.0, FailureType.HARDWARE, [3]),
+            FailureEvent(1 * HOUR + 1.5, FailureType.SOFTWARE, [5]),
+            FailureEvent(2 * HOUR, FailureType.HARDWARE, [system.policy.leader_rank]),
+        ]
+        TraceFailureInjector(
+            system.sim, system.cluster, list(failures), system.inject_failure
+        )
+        result = system.run(3 * HOUR)
+        assert len(result.recoveries) == 3
+        assert auditor.ok, [v.to_dict() for v in auditor.violations]
+        delays = [
+            record.detected_at - event.time
+            for record, event in zip(result.recoveries, failures)
+        ]
+        assert all(10.0 <= delay <= 20.0 for delay in delays), delays
+
+    def test_failure_during_recovery_is_exempt(self):
+        # The second failure lands mid-recovery; the recovery loop
+        # re-detects it on its own schedule, which I8 does not judge.
+        system = build_agent_system()
+        auditor = RecoveryInvariantAuditor(system)
+        TraceFailureInjector(
+            system.sim,
+            system.cluster,
+            [
+                FailureEvent(1000.0, FailureType.HARDWARE, [3]),
+                FailureEvent(1100.0, FailureType.SOFTWARE, [5]),
+            ],
+            system.inject_failure,
+        )
+        system.run(1 * HOUR)
+        assert auditor.ok, [v.to_dict() for v in auditor.violations]
+
+    @pytest.mark.parametrize("shift", [-8.0, 30.0])
+    def test_lying_detected_at_is_caught(self, shift):
+        system = build_agent_system()
+        shift_detection(system.policy, shift)
+        auditor = RecoveryInvariantAuditor(system)
+        attach_failures(system)
+        system.run(4 * HOUR)
+        found = [v for v in auditor.violations if v.invariant == "detection-window"]
+        assert len(found) == 2, [v.to_dict() for v in auditor.violations]
+
+    def test_fixed_delay_detection_is_out_of_scope(self, build_system):
+        system = build_system("gemini")
+        shift_detection(system.policy, 30.0)
+        auditor = RecoveryInvariantAuditor(system)
+        attach_failures(system)
+        system.run(4 * HOUR)
+        assert not [v for v in auditor.violations if v.invariant == "detection-window"]

@@ -161,6 +161,17 @@ class TestGridAndPresets:
         assert cell.failure_model == "correlated"
         cell.validate()
 
+    def test_ci_preset_agents_cell_audits_clean(self):
+        (cell,) = [
+            s
+            for s in chaos_grid(**CAMPAIGN_PRESETS["ci"])
+            if s.name == "gemini-agents-correlated"
+        ]
+        assert cell.policy_options()["use_agents"] is True
+        row = dataclasses.replace(cell, seeds=(0,)).run()
+        assert row["total_recoveries"] >= 1
+        assert row["violation_count"] == 0, row["violations"]
+
 
 class TestRunCampaign:
     def small_grid(self, **overrides):

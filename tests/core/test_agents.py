@@ -5,10 +5,11 @@ import pytest
 from repro.cluster import Cluster, P4D_24XLARGE
 from repro.core.agents import (
     HEALTH_PREFIX,
-        RootAgent,
+    ROOT_ELECTION_KEY,
+    RootAgent,
     WorkerAgent,
 )
-from repro.kvstore import KVStore
+from repro.kvstore import Election, KVStore
 from repro.sim import Simulator
 
 
@@ -23,6 +24,14 @@ def env():
 def spawn_workers(sim, store, cluster):
     return [
         WorkerAgent(sim, store, cluster, rank) for rank in range(cluster.size)
+    ]
+
+
+def spawn_roots(sim, store, cluster, ranks, on_failure_detected=lambda d: None):
+    election = Election(store, ROOT_ELECTION_KEY)
+    return [
+        RootAgent(sim, store, cluster, rank, election, on_failure_detected)
+        for rank in ranks
     ]
 
 
@@ -62,7 +71,7 @@ class TestRootAgent:
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
         detections = []
-        RootAgent(sim, store, cluster, 0, on_failure_detected=detections.append)
+        spawn_roots(sim, store, cluster, [0], detections.append)
         sim.run(until=60.0)
         assert detections == []
         failure_time = sim.now
@@ -77,7 +86,7 @@ class TestRootAgent:
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
         detections = []
-        RootAgent(sim, store, cluster, 0, on_failure_detected=detections.append)
+        spawn_roots(sim, store, cluster, [0], detections.append)
         sim.run(until=30.0)
         cluster.machine(3).mark_failed()
         sim.run(until=120.0)
@@ -87,7 +96,7 @@ class TestRootAgent:
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
         detections = []
-        root = RootAgent(sim, store, cluster, 0, on_failure_detected=detections.append)
+        (root,) = spawn_roots(sim, store, cluster, [0], detections.append)
         sim.run(until=30.0)
         cluster.machine(3).mark_failed()
         sim.run(until=90.0)
@@ -98,10 +107,7 @@ class TestRootAgent:
     def test_single_leader_among_candidates(self, env):
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
-        roots = [
-            RootAgent(sim, store, cluster, rank, on_failure_detected=lambda d: None)
-            for rank in range(4)
-        ]
+        roots = spawn_roots(sim, store, cluster, range(4))
         sim.run(until=30.0)
         leaders = [root.rank for root in roots if root.is_leader]
         assert leaders == [0]
@@ -109,10 +115,7 @@ class TestRootAgent:
     def test_root_failover_on_leader_death(self, env):
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
-        roots = [
-            RootAgent(sim, store, cluster, rank, on_failure_detected=lambda d: None)
-            for rank in range(4)
-        ]
+        roots = spawn_roots(sim, store, cluster, range(4))
         sim.run(until=30.0)
         cluster.machine(0).mark_failed()
         sim.run(until=30.0 + 40.0)
@@ -123,10 +126,58 @@ class TestRootAgent:
         sim, store, cluster = env
         spawn_workers(sim, store, cluster)
         detections = []
-        RootAgent(sim, store, cluster, 0, on_failure_detected=detections.append)
+        spawn_roots(sim, store, cluster, [0], detections.append)
         sim.run(until=20.0)
         cluster.machine(0).mark_failed()  # the root machine itself
         cluster.machine(2).mark_failed()
         sim.run(until=120.0)
         # No other candidate exists, so nothing detects rank 2.
         assert detections == []
+
+
+class TestSharedRootElection:
+    def test_root_agents_register_one_watch(self, env):
+        sim, store, cluster = env
+        spawn_workers(sim, store, cluster)
+        roots = spawn_roots(sim, store, cluster, range(4))
+        assert len({id(root.election) for root in roots}) == 1
+        assert len(store._watches) == 1
+        sim.run(until=30.0)
+        assert len(store._watches) == 1
+
+    def test_failover_follows_campaign_order(self, env):
+        sim, store, cluster = env
+        spawn_workers(sim, store, cluster)
+        roots = spawn_roots(sim, store, cluster, [2, 0, 3, 1])
+        leaders = []
+        for _ in range(3):
+            sim.run(until=sim.now + 30.0)
+            (leader,) = [root.rank for root in roots if root.is_leader]
+            leaders.append(leader)
+            cluster.machine(leader).mark_failed()
+        sim.run(until=sim.now + 30.0)
+        leaders.extend(root.rank for root in roots if root.is_leader)
+        assert leaders == [2, 0, 3, 1]
+
+    def test_system_keeps_one_watch_across_respawn(self):
+        from repro.core.system import GeminiConfig, GeminiSystem
+        from repro.failures import FailureEvent, FailureType, TraceFailureInjector
+        from repro.training import GPT2_100B
+
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 8, config=GeminiConfig(num_standby=1)
+        )
+        store = system.policy.kvstore
+        assert len(store._watches) == 1
+        TraceFailureInjector(
+            system.sim,
+            system.cluster,
+            [FailureEvent(600.0, FailureType.HARDWARE, [system.leader_rank])],
+            system.inject_failure,
+        )
+        result = system.run(1800.0)
+        assert len(result.recoveries) == 1
+        assert system.leader_rank == 1
+        assert len(store._watches) == 1
+        elections = {id(agent.election) for agent in system.root_agents.values()}
+        assert elections == {id(system.policy.root_election)}

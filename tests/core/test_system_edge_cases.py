@@ -99,3 +99,40 @@ class TestLightweightMode:
         # recovery's re-plan loop rather than racing it.
         assert all(machine.is_healthy for machine in system.cluster)
         assert result.final_iteration > 20
+
+
+class TestClockTypes:
+    def test_remote_retrieval_keeps_clock_a_python_float(self):
+        """Fabric finish times come out of numpy slot arrays; they must
+        reach the simulated clock, the recovery record and the trace as
+        plain floats (``np.float64`` is a float subclass, hence ``type``)."""
+        from repro.core.kernel import KernelListener
+        from repro.core.recovery import RetrievalSource
+        from repro.trace import TraceKind
+
+        class ClockProbe(KernelListener):
+            def __init__(self):
+                self.clock_types = []
+
+            def on_recovery_complete(self, record):
+                self.clock_types.append(type(system.sim.now))
+
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 16, config=GeminiConfig(num_standby=1)
+        )
+        probe = ClockProbe()
+        system.add_listener(probe)
+        TraceFailureInjector(
+            system.sim, system.cluster,
+            [FailureEvent(1000.0, FailureType.HARDWARE, [3])],
+            system.inject_failure,
+        )
+        result = system.run(HOUR)
+        (record,) = result.recoveries
+        assert record.source is RetrievalSource.REMOTE_CPU
+        assert probe.clock_types == [float]
+        assert type(record.retrieval_done_at) is float
+        assert type(record.resumed_at) is float
+        resume = system.trace.last(TraceKind.RESUME)
+        assert type(resume.time) is float
+        assert type(resume.detail["overhead"]) is float

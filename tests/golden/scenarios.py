@@ -2,8 +2,9 @@
 
 The scenarios run the three first-class policies (GEMINI, Strawman,
 HighFreq) through the public system constructors with deterministic
-Poisson failure injection, plus an agents-mode GEMINI run with scripted
-failures.  ``snapshot()`` reduces a run to a JSON-stable dict.
+Poisson failure injection, plus two agents-mode GEMINI runs with scripted
+failures (the second kills the root leader, forcing a re-election).
+``snapshot()`` reduces a run to a JSON-stable dict.
 
 ``generate.py`` ran these against the *pre-refactor*
 ``GeminiSystem``/``BaselineSystem`` implementations and froze the
@@ -36,6 +37,9 @@ SCENARIOS = (
     "strawman",
     "highfreq",
     "gemini_agents",
+    # agents mode with a kill of the build-time root leader, so the
+    # snapshot pins which candidate wins the re-election
+    "gemini_agents_root_kill",
     # frontier policies (PR 10): snapshots generated at introduction,
     # frozen as the behavior contract for later refactors
     "checkmate",
@@ -94,6 +98,31 @@ def run_scenario(name: str, seed: int) -> Dict[str, Any]:
             system.inject_failure,
         )
         return snapshot(system.run(2 * HOUR))
+
+    if name == "gemini_agents_root_kill":
+        system = GeminiSystem(
+            GPT2_100B,
+            P4D_24XLARGE,
+            NUM_MACHINES,
+            config=GeminiConfig(num_standby=2, seed=seed, use_agents=True),
+        )
+        leader = system.leader_rank
+        TraceFailureInjector(
+            system.sim,
+            system.cluster,
+            [
+                FailureEvent(1000.0, FailureType.HARDWARE, [(leader + 5) % NUM_MACHINES]),
+                FailureEvent(4000.0, FailureType.HARDWARE, [leader]),
+            ],
+            system.inject_failure,
+        )
+        result = system.run(2 * HOUR)
+        return {
+            **snapshot(result),
+            "detected_at": [r.detected_at for r in result.recoveries],
+            "leader_at_build": leader,
+            "leader_at_end": system.leader_rank,
+        }
 
     if name == "gemini":
         system = GeminiSystem(

@@ -29,10 +29,6 @@ class TestBasicOps:
         r2 = store.put("b", 2)
         assert r2 == r1 + 1
 
-    def test_get_with_revision(self, store):
-        revision = store.put("k", "v")
-        assert store.get_with_revision("k") == ("v", revision)
-
     def test_delete(self, store):
         store.put("k", 1)
         assert store.delete("k")
@@ -111,6 +107,45 @@ class TestLeases:
         store.put("plain", 2)
         sim.run(until=5.0)
         assert store.get("plain") == 2
+
+    def test_refresh_schedules_no_event(self, sim, store):
+        lease = store.grant_lease(ttl=10.0)
+        queued = len(sim._queue)
+        for _ in range(5):
+            lease.refresh()
+        assert len(sim._queue) == queued
+
+    def test_refresh_at_same_instant_as_pending_expiry_keeps_key(self, sim, store):
+        lease = store.grant_lease(ttl=10.0)  # expiry callback armed for t=10
+        store.put("k", "v", lease=lease)
+        changes = []
+        store.watch("k", lambda event: changes.append((sim.now, event.type)))
+        sim.call_at(5.0, lease.refresh)  # the t=10 callback re-arms for t=15
+        # Scheduled before that re-arm, so it runs first at t=15.
+        sim.call_at(15.0, lease.refresh)
+        sim.run(until=24.999)
+        assert store.get("k") == "v"
+        sim.run(until=30.0)
+        assert store.get("k") is None
+        assert changes == [(25.0, WatchEventType.DELETE)]
+
+    def test_periodic_refresh_expires_exactly_ttl_after_last_refresh(self, sim, store):
+        lease = store.grant_lease(ttl=15.0)
+        store.put("k", "v", lease=lease)
+        expired_at = []
+        store.watch("k", lambda event: expired_at.append(sim.now))
+
+        def heartbeat():
+            for _ in range(12):  # last refresh at t=55
+                lease.refresh()
+                yield sim.timeout(5.0)
+
+        sim.process(heartbeat())
+        sim.run(until=69.999)
+        assert store.get("k") == "v"
+        sim.run(until=100.0)
+        assert store.get("k") is None
+        assert expired_at == [70.0]
 
 
 class TestWatches:
