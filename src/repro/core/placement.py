@@ -19,7 +19,7 @@ Ranks here are 0-indexed (the paper's pseudocode is 1-indexed).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 
@@ -55,6 +55,11 @@ class Placement:
     strategy: PlacementStrategy
     groups: Tuple[Tuple[int, ...], ...]
     replica_sets: Tuple[FrozenSet[int], ...]
+    #: the inverse of ``replica_sets``: storer -> owners it hosts, ascending.
+    #: Derived once here so ``hosted_by`` is O(hosted) instead of O(N).
+    _hosted: Dict[int, Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.num_machines < 1:
@@ -63,6 +68,15 @@ class Placement:
             raise ValueError(
                 f"m must be in [1, N={self.num_machines}], got {self.num_replicas}"
             )
+        hosted: Dict[int, List[int]] = {}
+        for owner, storers in enumerate(self.replica_sets):
+            for storer in storers:
+                hosted.setdefault(storer, []).append(owner)
+        object.__setattr__(
+            self,
+            "_hosted",
+            {storer: tuple(owners) for storer, owners in hosted.items()},
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -71,23 +85,12 @@ class Placement:
         return self.replica_sets[rank]
 
     def hosted_by(self, rank: int) -> List[int]:
-        """Shard owners whose checkpoints machine ``rank`` stores."""
-        return [
-            owner
-            for owner, storers in enumerate(self.replica_sets)
-            if rank in storers
-        ]
+        """Shard owners whose checkpoints machine ``rank`` stores, ascending."""
+        return list(self._hosted.get(rank, ()))
 
     def remote_targets(self, rank: int) -> List[int]:
         """Where machine ``rank`` sends its shard (excludes itself), sorted."""
         return sorted(self.storers_of(rank) - {rank})
-
-    def group_of(self, rank: int) -> Tuple[int, ...]:
-        """The Algorithm 1 group containing ``rank``."""
-        for group in self.groups:
-            if rank in group:
-                return group
-        raise KeyError(f"rank {rank} not in any group")
 
     # -- recoverability -------------------------------------------------------------
 

@@ -108,7 +108,6 @@ class GeminiPolicy(CheckpointPolicy):
             self.config.num_replicas,
             domains=self.kernel.cluster.fault_domains(),
         )
-        self._commit_times: Dict[int, float] = {0: 0.0}
 
     def build(self) -> None:
         kernel = self.kernel
@@ -233,19 +232,12 @@ class GeminiPolicy(CheckpointPolicy):
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
         if write_stores:
-            for rank in range(kernel.cluster.size):
-                for storer in self.placement.storers_of(rank):
-                    machine = kernel.cluster.machine(storer)
-                    if not (machine.is_healthy or storer in assume_healthy):
-                        continue
-                    store = self.stores[storer]
-                    if not store.valid:
-                        continue
-                    latest = store.latest_complete(rank)
-                    if latest is not None and latest >= iteration:
-                        continue
-                    store.begin_write(rank, iteration)
-                    store.commit_write(rank, iteration)
+            cluster = kernel.cluster
+            for storer, store in self.stores.items():
+                if not (cluster.machine(storer).is_healthy or storer in assume_healthy):
+                    continue
+                if store.valid:
+                    store.commit_all(iteration)
         if iteration > 0:
             kernel.committed_iteration = iteration
             kernel.trace.record(
@@ -272,10 +264,6 @@ class GeminiPolicy(CheckpointPolicy):
                 kernel.obs.tracer.instant(
                     "checkpoint.commit", track="checkpoint", iteration=iteration
                 )
-        self._commit_times[iteration] = now
-        if len(self._commit_times) > 4096:
-            for old in sorted(self._commit_times)[:-2048]:
-                del self._commit_times[old]
 
     # --------------------------------------------------------------- persistence
 
@@ -542,15 +530,9 @@ class GeminiPolicy(CheckpointPolicy):
         rollback = plan.rollback_iteration
         if rollback is None:
             return
-        for _rank, store in self.stores.items():
-            if not store.valid:
-                continue
-            for owner in store.hosted_ranks():
-                slot = store.slot(owner)
-                if slot.in_progress_iteration is not None:
-                    store.abort_write(owner)
-                if slot.completed_iteration is None or slot.completed_iteration < rollback:
-                    slot.completed_iteration = rollback
+        for store in self.stores.values():
+            if store.valid:
+                store.settle_at_rollback(rollback)
         # Respawn agents for every rank whose worker lease is gone.
         if not self.config.use_agents:
             return

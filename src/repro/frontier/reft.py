@@ -129,7 +129,6 @@ class ReftPolicy(GeminiPolicy):
             tensor_parallel=self.tensor_parallel,
             pipeline_parallel=self.pipeline_parallel,
         )
-        self._commit_times = {0: 0.0}
 
     # ------------------------------------------------------------------- analytic
 

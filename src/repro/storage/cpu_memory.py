@@ -94,15 +94,6 @@ class CPUCheckpointStore:
         self._update_hosted_gauge()
         return slot
 
-    def drop_shard(self, rank: int) -> None:
-        """Release the buffers for ``rank``'s shard."""
-        self._check_valid()
-        slot = self._slots.pop(rank, None)
-        if slot is None:
-            raise KeyError(f"rank {rank} not hosted on {self.machine}")
-        self.machine.free_cpu_memory(slot.reserved_bytes)
-        self._update_hosted_gauge()
-
     def hosted_ranks(self) -> List[int]:
         return sorted(self._slots)
 
@@ -142,20 +133,61 @@ class CPUCheckpointStore:
         slot.completed_iteration = iteration
         slot.in_progress_iteration = None
         if self._obs is not None and self._obs.enabled:
-            metrics = self._obs.metrics
-            metrics.counter(
-                "repro_cpu_ckpt_commits_total",
-                help="shard writes committed to CPU-memory stores",
-            ).inc()
-            metrics.counter(
-                "repro_cpu_ckpt_bytes_total",
-                help="bytes committed to CPU-memory checkpoint stores",
-            ).inc(slot.nbytes)
+            self._count_commit(slot.nbytes)
+
+    def commit_all(self, iteration: int) -> None:
+        """Write and commit ``iteration`` into every hosted slot older than it.
+
+        The per-iteration checkpoint in one call per store: the same effect
+        as ``begin_write`` + ``commit_write`` on each slot whose completed
+        iteration is ``None`` or below ``iteration`` (newer slots are left
+        alone), with the validity check done once.  A slot with a write
+        still in progress raises, as ``begin_write`` would.
+        """
+        self._check_valid()
+        counting = self._obs is not None and self._obs.enabled
+        for slot in self._slots.values():
+            completed = slot.completed_iteration
+            if completed is not None and completed >= iteration:
+                continue
+            if slot.in_progress_iteration is not None:
+                raise RuntimeError(
+                    f"rank {slot.rank} on {self.machine}: write for iteration "
+                    f"{slot.in_progress_iteration} still in progress"
+                )
+            slot.completed_iteration = iteration
+            if counting:
+                self._count_commit(slot.nbytes)
+
+    def _count_commit(self, nbytes: float) -> None:
+        metrics = self._obs.metrics
+        metrics.counter(
+            "repro_cpu_ckpt_commits_total",
+            help="shard writes committed to CPU-memory stores",
+        ).inc()
+        metrics.counter(
+            "repro_cpu_ckpt_bytes_total",
+            help="bytes committed to CPU-memory checkpoint stores",
+        ).inc(nbytes)
 
     def abort_write(self, rank: int) -> None:
         """Discard an in-progress write (e.g. sender died mid-transfer)."""
         self._check_valid()
         self.slot(rank).in_progress_iteration = None
+
+    def settle_at_rollback(self, rollback: int) -> None:
+        """Bring every hosted slot to the recovery's rollback iteration.
+
+        In-progress writes are discarded and any slot whose completed
+        iteration is missing or older than ``rollback`` now holds it (the
+        retrieval phase restored it); newer completed slots are kept.
+        """
+        self._check_valid()
+        for slot in self._slots.values():
+            slot.in_progress_iteration = None
+            completed = slot.completed_iteration
+            if completed is None or completed < rollback:
+                slot.completed_iteration = rollback
 
     def corrupt_shard(self, rank: int) -> None:
         """Silently lose both buffers of ``rank``'s shard (chaos hook).

@@ -13,6 +13,7 @@ from repro.core.placement import (
     ring_placement,
     topology_aware_placement,
 )
+from repro.frontier import reft_placement
 
 
 class TestGroupPlacement:
@@ -153,18 +154,74 @@ class TestPlacementProperties:
         # Storage is balanced: every machine hosts exactly m shards.
         assert placement.max_replicas_per_machine() == m
 
-    @given(
-        n=st.integers(min_value=2, max_value=16),
-        m=st.integers(min_value=2, max_value=4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_hosted_by_is_inverse_of_storers(self, n, m):
-        if m > n:
-            return
-        placement = mixed_placement(n, m)
-        for rank in range(n):
-            for owner in placement.hosted_by(rank):
-                assert rank in placement.storers_of(owner)
+
+def scan_hosted_by(placement, rank):
+    """Brute-force ``hosted_by``: scan every owner's replica set."""
+    return [
+        owner
+        for owner, storers in enumerate(placement.replica_sets)
+        if rank in storers
+    ]
+
+
+@st.composite
+def placements(draw):
+    """Any placement the system builds: group, ring, mixed, topology, REFT."""
+    kind = draw(st.sampled_from(["group", "ring", "mixed", "topology", "reft"]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    if kind == "reft":
+        tp = draw(st.integers(min_value=1, max_value=3))
+        pp = draw(st.integers(min_value=1, max_value=3))
+        dp = draw(st.integers(min_value=m, max_value=6))
+        return reft_placement(dp * tp * pp, m, tensor_parallel=tp, pipeline_parallel=pp)
+    if kind == "group":
+        return group_placement(m * draw(st.integers(min_value=1, max_value=12)), m)
+    n = draw(st.integers(min_value=m, max_value=48))
+    if kind == "ring":
+        return ring_placement(n, m)
+    if kind == "mixed":
+        return mixed_placement(n, m)
+    # Topology: a random assignment of ranks to up to 6 fault domains.
+    labels = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    domains = [[r for r in range(n) if labels[r] == d] for d in range(6)]
+    return topology_aware_placement(n, m, [d for d in domains if d])
+
+
+class TestHostedByIndex:
+    @given(placement=placements())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan_in_order(self, placement):
+        n = placement.num_machines
+        for rank in range(-1, n + 2):
+            assert placement.hosted_by(rank) == scan_hosted_by(placement, rank)
+
+    @given(placement=placements())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_inverse_of_storers_of(self, placement):
+        n = placement.num_machines
+        forward = {
+            (storer, owner)
+            for owner in range(n)
+            for storer in placement.storers_of(owner)
+        }
+        backward = {
+            (storer, owner)
+            for storer in range(n)
+            for owner in placement.hosted_by(storer)
+        }
+        assert forward == backward
+        # No duplicates either: each pair appears once.
+        assert sum(len(placement.hosted_by(r)) for r in range(n)) == len(forward)
+
+    def test_returns_a_fresh_list(self):
+        placement = mixed_placement(5, 2)
+        placement.hosted_by(2).append(99)
+        assert placement.hosted_by(2) == scan_hosted_by(placement, 2)
+
+    def test_index_is_not_part_of_equality_or_repr(self):
+        assert mixed_placement(9, 2) == mixed_placement(9, 2)
+        assert hash(mixed_placement(9, 2)) == hash(mixed_placement(9, 2))
+        assert "_hosted" not in repr(mixed_placement(9, 2))
 
 
 RACKS_4X4 = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))

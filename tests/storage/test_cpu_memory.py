@@ -29,15 +29,6 @@ class TestHosting:
         with pytest.raises(ValueError):
             store.host_shard(rank=0, nbytes=GB)
 
-    def test_drop_releases_memory(self, machine, store):
-        store.drop_shard(1)
-        assert machine.cpu_memory_used == pytest.approx(150 * GB)
-        assert store.hosted_ranks() == [0]
-
-    def test_drop_unknown_raises(self, store):
-        with pytest.raises(KeyError):
-            store.drop_shard(9)
-
     def test_cpu_memory_exhaustion_surfaces(self, machine):
         store = CPUCheckpointStore(machine)
         with pytest.raises(MemoryError):
