@@ -9,9 +9,9 @@ injection across seeds.
 
 from benchmarks.conftest import run_once
 from repro.cluster import P4D_24XLARGE
+from repro.experiments import Scenario
 from repro.harness import render_table
 from repro.metrics.efficiency import effective_training_time_ratio
-from repro.metrics.montecarlo import measure_effective_ratio
 from repro.training import GPT2_100B, ShardingSpec, build_iteration_plan
 
 
@@ -21,19 +21,22 @@ def crosscheck():
     rows = []
     for policy in ("gemini", "highfreq", "strawman"):
         for rate in (2, 6):
-            mc = measure_effective_ratio(
-                policy, GPT2_100B, P4D_24XLARGE, 16,
-                failures_per_day=rate, horizon_days=1.5, seeds=(0, 1, 2),
-            )
+            mc = Scenario(
+                name=f"{policy}-r{rate:g}",
+                policy=policy,
+                failures_per_day=rate,
+                horizon_days=1.5,
+                seeds=(0, 1, 2),
+            ).run()
             analytic = effective_training_time_ratio(policy, spec, plan, rate)
             rows.append(
                 {
                     "policy": policy,
                     "failures_per_day": rate,
-                    "des_ratio": mc.mean_ratio,
+                    "des_ratio": mc["mean_ratio"],
                     "analytic_ratio": analytic,
-                    "abs_error": abs(mc.mean_ratio - analytic),
-                    "failures_observed": mc.total_failures,
+                    "abs_error": abs(mc["mean_ratio"] - analytic),
+                    "failures_observed": mc["total_failures"],
                 }
             )
     return rows

@@ -12,8 +12,9 @@ every recovery against those promises:
 - :mod:`repro.chaos.degrade` — bandwidth loss, stragglers, replica
   corruption (non-fail-stop);
 - :mod:`repro.chaos.auditor` — the recovery invariant auditor;
-- :mod:`repro.chaos.scenario` / :mod:`repro.chaos.campaign` — frozen
-  :class:`ChaosScenario` points and the campaign runner built on
+- :mod:`repro.chaos.scenario` / :mod:`repro.chaos.campaign` —
+  :class:`ChaosScenario` (a :class:`repro.experiments.Scenario` with the
+  auditor attached) and the campaign runner built on
   :mod:`repro.experiments` (``python -m repro chaos``).
 """
 
@@ -41,17 +42,15 @@ from repro.chaos.models import (
     OPT_INTERARRIVAL_WEIGHTS,
     OPT_SEVERITY_WEIGHTS,
 )
-from repro.chaos.scenario import CHAOS_FAILURE_MODELS, DEGRADATION_KINDS, ChaosScenario
+from repro.chaos.scenario import ChaosScenario
 
 __all__ = [
     "AdversarialFailureInjector",
     "BandwidthDegradationInjector",
     "CAMPAIGN_PRESETS",
-    "CHAOS_FAILURE_MODELS",
     "CampaignReport",
     "ChaosScenario",
     "CorrelatedFailureInjector",
-    "DEGRADATION_KINDS",
     "EmpiricalFailureInjector",
     "FaultDomainTopology",
     "InvariantViolation",

@@ -30,7 +30,7 @@ def chaos_grid(
     seeds: Tuple[int, ...] = (0, 1, 2),
     *,
     num_machines: int = 16,
-    events_per_day: float = 8.0,
+    failures_per_day: float = 8.0,
     domain_size: int = 2,
     spare_one: bool = False,
     degradations: Tuple[str, ...] = (),
@@ -50,7 +50,7 @@ def chaos_grid(
     """
     base: Dict[str, Any] = {
         "num_machines": num_machines,
-        "events_per_day": events_per_day,
+        "failures_per_day": failures_per_day,
         "domain_size": domain_size,
         "spare_one": spare_one,
         "degradations": degradations,
@@ -182,7 +182,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "failure_model": "correlated",
                 "cluster": "a3mega-fleet1k",
                 "num_machines": 1024,
-                "events_per_day": 128.0,
+                "failures_per_day": 128.0,
                 "domain_size": 16,
                 "domain_source": "topology",
                 "policy_kwargs": (("placement_strategy", "topology"),),
@@ -196,7 +196,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "failure_model": "correlated",
                 "cluster": "a3mega-fleet1k",
                 "num_machines": 1024,
-                "events_per_day": 128.0,
+                "failures_per_day": 128.0,
                 "domain_size": 16,
                 "domain_source": "topology",
                 "policy_kwargs": (("placement_strategy", "topology"),),
@@ -212,7 +212,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "failure_model": "correlated",
                 "cluster": "a3mega-fleet1k",
                 "num_machines": 1024,
-                "events_per_day": 128.0,
+                "failures_per_day": 128.0,
                 "domain_size": 16,
                 "domain_source": "topology",
                 "policy_kwargs": (("placement_strategy", "topology"),),
@@ -226,7 +226,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
                 "failure_model": "correlated",
                 "cluster": "a3mega-fleet1k",
                 "num_machines": 1024,
-                "events_per_day": 128.0,
+                "failures_per_day": 128.0,
                 "domain_size": 16,
                 "domain_source": "topology",
                 "policy_kwargs": (

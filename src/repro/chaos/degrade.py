@@ -30,7 +30,7 @@ fabric, no stores) simply no-op.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Type
 
 from repro.core.kernel import SimulatedTrainingSystem
 from repro.failures.injector import apply_failure
@@ -41,6 +41,7 @@ from repro.units import DAY
 
 __all__ = [
     "BandwidthDegradationInjector",
+    "DEGRADERS",
     "ReplicaCorruptionInjector",
     "StragglerInjector",
 ]
@@ -300,3 +301,12 @@ class ReplicaCorruptionInjector(_DegradationInjector):
             apply_failure(self.system.cluster, event)
             self.failures.append(event)
             self.system.inject_failure(event)
+
+
+#: scenario degradation kind -> injector class
+#: (:data:`repro.experiments.scenario.DEGRADATION_KINDS`).
+DEGRADERS: Dict[str, Type[_DegradationInjector]] = {
+    "bandwidth": BandwidthDegradationInjector,
+    "corruption": ReplicaCorruptionInjector,
+    "straggler": StragglerInjector,
+}

@@ -367,15 +367,18 @@ def cmd_chaos(args) -> int:
     if args.degradation_rate is not None:
         grid_kwargs["degradation_events_per_day"] = args.degradation_rate
     grid_kwargs["num_machines"] = args.machines
-    grid_kwargs["events_per_day"] = args.events_per_day
+    grid_kwargs["failures_per_day"] = args.events_per_day
     grid_kwargs["domain_size"] = args.domain_size
     grid_kwargs["spare_one"] = args.spare_one
     grid_kwargs["num_standby"] = args.standby
     grid_kwargs["sanitize"] = args.sanitize
     try:
         scenarios = chaos_grid(**grid_kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for scenario in scenarios:
+            scenario.validate()
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0] if exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.dry_run:
         print(f"{len(scenarios)} chaos scenarios ({args.workers} workers):")
@@ -383,7 +386,7 @@ def cmd_chaos(args) -> int:
             degradations = ",".join(scenario.degradations) or "-"
             print(
                 f"  {scenario.scenario_hash()}  {scenario.name:<24} "
-                f"events={scenario.events_per_day:g}/day "
+                f"events={scenario.failures_per_day:g}/day "
                 f"degrade={degradations} horizon={scenario.horizon_days:g}d "
                 f"seeds={list(scenario.seeds)}"
             )

@@ -22,8 +22,6 @@ from repro.core.agents import RootAgent, WorkerAgent
 from repro.core.kernel import SimulatedTrainingSystem, SystemResult
 from repro.core.placement import Placement
 from repro.core.policy import GeminiConfig, GeminiPolicy
-from repro.kvstore import KVStore
-from repro.network.fabric import Fabric
 from repro.obs import Observability
 from repro.storage.cpu_memory import CPUCheckpointStore
 from repro.training.models import ModelConfig
@@ -71,14 +69,6 @@ class GeminiSystem(SimulatedTrainingSystem):
     @property
     def stores(self) -> Dict[int, CPUCheckpointStore]:
         return self.policy.stores
-
-    @property
-    def kvstore(self) -> KVStore:
-        return self.policy.kvstore
-
-    @property
-    def fabric(self) -> Fabric:
-        return self.policy.fabric
 
     @property
     def worker_agents(self) -> Dict[int, WorkerAgent]:

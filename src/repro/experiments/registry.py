@@ -1,7 +1,7 @@
 """Checkpoint-policy registry: name -> factory for the experiments layer.
 
 Every harness that used to dispatch on hard-coded policy-name ``if``
-chains (:mod:`repro.metrics.montecarlo`, :mod:`repro.metrics.efficiency`,
+chains (:mod:`repro.experiments.scenario`, :mod:`repro.metrics.efficiency`,
 the figures and the CLI) now resolves policies here, so adding a fourth
 policy is one :func:`register_policy` call — no edits across the metrics
 stack.

@@ -25,18 +25,15 @@ from repro.metrics.analysis import (
     summarize_run,
 )
 from repro.metrics.efficiency import effective_training_time_ratio
-from repro.metrics.montecarlo import MonteCarloResult, measure_effective_ratio
 from repro.metrics.wasted import WastedTimeScenario, average_wasted_time
 
 __all__ = [
-    "MonteCarloResult",
     "RecoveryAccounting",
     "RunSummary",
     "WastedTimeScenario",
     "account_recovery",
     "commit_cadence",
     "detection_latencies",
-    "measure_effective_ratio",
     "summarize_run",
     "average_wasted_time",
     "checkpoint_frequency_per_hour",

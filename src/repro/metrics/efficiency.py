@@ -16,8 +16,9 @@ Both channels now come from the policy itself: any name registered with
 (Equation 1), so this module needs no per-policy branches.  The
 expected-value model is what the paper's own simulation does ("we can
 simulate the training performance based on the incurred overhead by one
-failure", Section 7.3); :mod:`repro.metrics.montecarlo` provides the
-full-DES cross-check used in the tests.
+failure", Section 7.3).  The full-DES cross-check runs the same point
+as a :class:`repro.experiments.Scenario` (Poisson failures, one row per
+seed set) and compares its ``mean_ratio`` against this model.
 """
 
 from __future__ import annotations

@@ -76,9 +76,10 @@ SCENARIO_WALL_BUCKETS: Tuple[float, ...] = (
 def scenario_fields(scenario: Any) -> Dict[str, Any]:
     """The identifying fields telemetry events carry for a scenario.
 
-    Duck-typed so :class:`~repro.experiments.scenario.Scenario`,
-    :class:`~repro.chaos.scenario.ChaosScenario`, and ad-hoc objects
-    (bench workloads) all work; missing attributes are simply omitted.
+    Duck-typed so :class:`~repro.experiments.scenario.Scenario` (and its
+    audited subclass :class:`~repro.chaos.scenario.ChaosScenario`) and
+    ad-hoc objects (bench workloads) all work; missing attributes are
+    simply omitted.
     """
     fields: Dict[str, Any] = {"scenario": getattr(scenario, "name", str(scenario))}
     hash_fn = getattr(scenario, "scenario_hash", None)

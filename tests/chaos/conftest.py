@@ -37,7 +37,7 @@ def make_scenario():
             policy="gemini",
             failure_model="correlated",
             num_machines=16,
-            events_per_day=16.0,
+            failures_per_day=16.0,
             horizon_days=0.1,
             seeds=(0,),
             num_standby=2,

@@ -12,6 +12,7 @@ from repro.chaos import (
     chaos_grid,
     run_campaign,
 )
+from repro.experiments import Scenario, SweepRunner
 
 
 class TestChaosScenario:
@@ -98,6 +99,22 @@ class TestChaosScenario:
                 cluster="a3mega-rack4x4", num_machines=8
             ).validate()
 
+    def test_sweep_and_campaign_points_never_share_a_row(
+        self, make_scenario, tmp_path
+    ):
+        campaign = make_scenario(horizon_days=0.02)
+        fields = {f.name: getattr(campaign, f.name) for f in dataclasses.fields(campaign)}
+        sweep = Scenario(**fields)
+        assert sweep.scenario_hash() != campaign.scenario_hash()
+        cache = str(tmp_path / "cache")
+        (sweep_row,) = SweepRunner([sweep], cache_dir=cache).run()
+        (campaign_row,) = SweepRunner([campaign], cache_dir=cache).run()
+        assert "violation_count" not in sweep_row
+        assert campaign_row["hash"] == campaign.scenario_hash()
+        assert campaign_row["violation_count"] == 0
+        assert SweepRunner([sweep], cache_dir=cache).run() == [sweep_row]
+        assert SweepRunner([campaign], cache_dir=cache).run() == [campaign_row]
+
 
 class TestGridAndPresets:
     def test_grid_is_policies_times_models(self):
@@ -180,7 +197,7 @@ class TestRunCampaign:
             models=("correlated", "adversarial"),
             seeds=(0,),
             num_machines=16,
-            events_per_day=16.0,
+            failures_per_day=16.0,
             horizon_days=0.05,
         )
         base.update(overrides)

@@ -159,3 +159,10 @@ class TestReplicaCorruption:
             ReplicaCorruptionInjector(
                 system, events_per_day=0.0, scope="global"
             )
+
+
+def test_every_scenario_degradation_kind_has_an_injector():
+    from repro.chaos.degrade import DEGRADERS
+    from repro.experiments.scenario import DEGRADATION_KINDS
+
+    assert tuple(sorted(DEGRADERS)) == DEGRADATION_KINDS

@@ -35,7 +35,7 @@ def test_every_policy_survives_chaos_with_zero_violations(policy, model):
         policy=policy,
         failure_model=model,
         num_machines=16,
-        events_per_day=24.0,
+        failures_per_day=24.0,
         horizon_days=0.1,
         seeds=(0, 1),
     )

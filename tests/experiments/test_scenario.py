@@ -142,3 +142,78 @@ class TestExecution:
         assert options["use_agents"] is False
         explicit = make(policy_kwargs={"use_agents": True}).policy_options()
         assert explicit["use_agents"] is True
+
+
+class TestCanonicalDigests:
+    """Literal digests of the sweep grids people cache against.
+
+    Fields added to :class:`Scenario` enter the canonical form only off
+    their defaults, so these digests (and every sweep cache keyed on
+    them) must never move.
+    """
+
+    FIG15_FLAT = {
+        "gemini-r2": "3c01761a54689d11",
+        "gemini-r4": "6defefaf94c5f2e0",
+        "highfreq-r2": "3098d15f1f64a533",
+        "highfreq-r4": "79d56b30f0abb59b",
+        "strawman-r2": "4222e4023dbd4839",
+        "strawman-r4": "01881f3e7d9a94fc",
+    }
+    FIG15_RACK = {
+        "gemini-r2-a3mega-rack4x4": "da6c50ed312f9097",
+        "gemini-r4-a3mega-rack4x4": "51ad8f20bdb02c69",
+        "highfreq-r2-a3mega-rack4x4": "2973abbaea0cc295",
+        "highfreq-r4-a3mega-rack4x4": "4f85e720793986b0",
+        "strawman-r2-a3mega-rack4x4": "297276e3e649e45f",
+        "strawman-r4-a3mega-rack4x4": "a08fd95a6fecafbf",
+    }
+    #: the 7 policies x {2, 8}/day x 2-day cells of the policy_sweep bench.
+    POLICY_SWEEP = {
+        "gemini-r2": "499517c1e510b61d",
+        "gemini-r8": "6e3384d35533d2be",
+        "highfreq-r2": "955c389b2bbd50c8",
+        "highfreq-r8": "6e441b040b55d4b2",
+        "strawman-r2": "715c828d5768cb69",
+        "strawman-r8": "f6f39ed7532f9081",
+        "checkmate-r2": "0e78d3ae7a7f907f",
+        "checkmate-r8": "d8a74965fbed9467",
+        "tiercheck-r2": "97a25e4d71179d56",
+        "tiercheck-r8": "51d51ac28cd07cda",
+        "sparse_moe-r2": "8f64a5ab07025a06",
+        "sparse_moe-r8": "c54ea45a5e1ed2a9",
+        "reft-r2": "3ce22623acef83e2",
+        "reft-r8": "ba89a563139fe004",
+    }
+
+    @staticmethod
+    def digests(grid):
+        return {scenario.name: scenario.scenario_hash() for scenario in grid}
+
+    def test_default_fig15_grid(self):
+        from repro.experiments import fig15_grid
+
+        assert self.digests(fig15_grid()) == self.FIG15_FLAT
+
+    def test_fig15_grid_with_cluster_axis(self):
+        from repro.experiments import fig15_grid
+
+        grid = fig15_grid(clusters=("", "a3mega-rack4x4"))
+        assert self.digests(grid) == {**self.FIG15_FLAT, **self.FIG15_RACK}
+
+    def test_policy_sweep_cells(self):
+        grid = [
+            Scenario(
+                name=f"{policy}-r{rate:g}",
+                policy=policy,
+                failures_per_day=rate,
+                horizon_days=2.0,
+                seeds=(0, 1, 2),
+            )
+            for policy in (
+                "gemini", "highfreq", "strawman", "checkmate",
+                "tiercheck", "sparse_moe", "reft",
+            )
+            for rate in (2.0, 8.0)
+        ]
+        assert self.digests(grid) == self.POLICY_SWEEP

@@ -1,11 +1,26 @@
-"""Monte-Carlo DES cross-validation of the efficiency model."""
+"""Monte-Carlo DES cross-validation of the efficiency model.
+
+Each point is a :class:`repro.experiments.Scenario` with Poisson failures;
+its row carries the per-seed ``ratios``, their ``mean_ratio`` and the
+``total_failures`` the injector delivered.
+"""
 
 import pytest
 
 from repro.cluster import P4D_24XLARGE
+from repro.experiments import Scenario
 from repro.metrics.efficiency import effective_training_time_ratio
-from repro.metrics.montecarlo import measure_effective_ratio
 from repro.training import GPT2_100B, ShardingSpec, build_iteration_plan
+
+
+def measure(policy, failures_per_day, horizon_days, seeds):
+    return Scenario(
+        name=f"{policy}-r{failures_per_day:g}",
+        policy=policy,
+        failures_per_day=failures_per_day,
+        horizon_days=horizon_days,
+        seeds=seeds,
+    ).run()
 
 
 @pytest.fixture(scope="module")
@@ -19,97 +34,36 @@ def workload():
 class TestMonteCarlo:
     def test_gemini_des_matches_analytic(self, workload):
         spec, plan = workload
-        mc = measure_effective_ratio(
-            "gemini", GPT2_100B, P4D_24XLARGE, 16,
-            failures_per_day=4, horizon_days=1.0, seeds=(0, 1),
-        )
+        row = measure("gemini", 4, horizon_days=1.0, seeds=(0, 1))
         analytic = effective_training_time_ratio("gemini", spec, plan, 4)
-        assert mc.mean_ratio == pytest.approx(analytic, abs=0.03)
+        assert row["mean_ratio"] == pytest.approx(analytic, abs=0.03)
 
     def test_highfreq_des_matches_analytic(self, workload):
         spec, plan = workload
-        mc = measure_effective_ratio(
-            "highfreq", GPT2_100B, P4D_24XLARGE, 16,
-            failures_per_day=4, horizon_days=1.0, seeds=(0, 1),
-        )
+        row = measure("highfreq", 4, horizon_days=1.0, seeds=(0, 1))
         analytic = effective_training_time_ratio("highfreq", spec, plan, 4)
-        assert mc.mean_ratio == pytest.approx(analytic, abs=0.06)
+        assert row["mean_ratio"] == pytest.approx(analytic, abs=0.06)
 
     def test_zero_rate_means_zero_failures(self):
-        mc = measure_effective_ratio(
-            "gemini", GPT2_100B, P4D_24XLARGE, 16,
-            failures_per_day=0, horizon_days=0.5, seeds=(0,),
-        )
-        assert mc.total_failures == 0
-        assert mc.mean_ratio == pytest.approx(1.0, abs=0.01)
+        row = measure("gemini", 0, horizon_days=0.5, seeds=(0,))
+        assert row["total_failures"] == 0
+        assert row["mean_ratio"] == pytest.approx(1.0, abs=0.01)
 
     def test_policy_ordering_preserved_in_des(self):
         results = {
-            policy: measure_effective_ratio(
-                policy, GPT2_100B, P4D_24XLARGE, 16,
-                failures_per_day=4, horizon_days=1.0, seeds=(0,),
-            ).mean_ratio
+            policy: measure(policy, 4, horizon_days=1.0, seeds=(0,))["mean_ratio"]
             for policy in ("gemini", "highfreq", "strawman")
         }
         assert results["gemini"] > results["highfreq"]
         assert results["gemini"] > results["strawman"]
 
     def test_seed_spread_reported(self):
-        mc = measure_effective_ratio(
-            "gemini", GPT2_100B, P4D_24XLARGE, 16,
-            failures_per_day=6, horizon_days=1.0, seeds=(0, 1, 2),
-        )
-        assert len(mc.ratios) == 3
-        assert 0 <= mc.spread <= 0.2
+        row = measure("gemini", 6, horizon_days=1.0, seeds=(0, 1, 2))
+        assert len(row["ratios"]) == 3
+        assert 0 <= max(row["ratios"]) - min(row["ratios"]) <= 0.2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            measure_effective_ratio(
-                "gemini", GPT2_100B, P4D_24XLARGE, 16, failures_per_day=-1
-            )
+            measure("gemini", -1, horizon_days=2.0, seeds=(0, 1, 2))
         with pytest.raises(ValueError):
-            measure_effective_ratio(
-                "bogus", GPT2_100B, P4D_24XLARGE, 16, failures_per_day=1
-            )
-
-
-class TestLightweightAgents:
-    def test_lightweight_mode_matches_full_agents(self):
-        """Fixed-delay detection gives the same recovery accounting as the
-        full agent stack (to within the lease-granularity difference)."""
-        from repro.core.system import GeminiConfig, GeminiSystem
-        from repro.failures import FailureEvent, FailureType, TraceFailureInjector
-
-        def run(use_agents):
-            system = GeminiSystem(
-                GPT2_100B, P4D_24XLARGE, 16,
-                config=GeminiConfig(use_agents=use_agents, num_standby=1),
-            )
-            TraceFailureInjector(
-                system.sim, system.cluster,
-                [FailureEvent(1000.0, FailureType.HARDWARE, [3])],
-                system.inject_failure,
-            )
-            return system.run(3600.0)
-
-        full = run(True)
-        light = run(False)
-        assert len(light.recoveries) == len(full.recoveries) == 1
-        assert light.recoveries[0].total_overhead == pytest.approx(
-            full.recoveries[0].total_overhead, abs=20
-        )
-        assert light.effective_ratio == pytest.approx(full.effective_ratio, abs=0.02)
-
-    def test_lightweight_mode_is_cheaper(self):
-        """No heartbeat events: the event count drops by orders of magnitude."""
-        from repro.core.system import GeminiConfig, GeminiSystem
-
-        def event_count(use_agents):
-            system = GeminiSystem(
-                GPT2_100B, P4D_24XLARGE, 16,
-                config=GeminiConfig(use_agents=use_agents),
-            )
-            system.run(3600.0)
-            return system.sim._seq
-
-        assert event_count(False) * 10 < event_count(True)
+            measure("bogus", 1, horizon_days=2.0, seeds=(0, 1, 2))

@@ -290,6 +290,18 @@ class TestChaosTelemetryFlags:
         assert bare.read_bytes() == observed.read_bytes()
 
 
+class TestChaosDryRun:
+    def test_lists_a_valid_grid(self, capsys):
+        assert main(["chaos", "--campaign", "ci", "--dry-run"]) == 0
+        assert "gemini-rack-failure" in capsys.readouterr().out
+
+    def test_unknown_policy_is_rejected_before_listing(self, capsys):
+        assert main(["chaos", "--policies", "bogus", "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown policy 'bogus'" in captured.err
+        assert "bogus-correlated" not in captured.out
+
+
 class TestAdvisorCommand:
     def test_recommends_feasible_m(self, capsys):
         code = main(["advisor", "--machines", "16"])
