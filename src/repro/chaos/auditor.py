@@ -278,6 +278,10 @@ class RecoveryInvariantAuditor(KernelListener):
         kernel = self.system
         stores = getattr(kernel.policy, "stores", None)
         failed = set(plan.failed_ranks)
+        # Both tiers are read once per plan; nothing writes them mid-audit.
+        persistent_latest = kernel.persistent.latest_complete()
+        ssd = getattr(kernel.policy, "ssd", None)
+        ssd_latest = ssd.latest_complete() if ssd is not None else None
         covered = sorted(retrieval.rank for retrieval in plan.retrievals)
         if covered != list(range(kernel.cluster.size)):
             self._report(
@@ -287,7 +291,7 @@ class RecoveryInvariantAuditor(KernelListener):
         for retrieval in plan.retrievals:
             source = retrieval.source
             if source is RetrievalSource.PERSISTENT:
-                if kernel.persistent.latest_complete() is None:
+                if persistent_latest is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads persistent storage but no "
@@ -295,14 +299,13 @@ class RecoveryInvariantAuditor(KernelListener):
                     )
                 continue
             if source is RetrievalSource.SSD:
-                ssd = getattr(kernel.policy, "ssd", None)
                 if ssd is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads the SSD tier but the "
                         "policy has no SSD store",
                     )
-                elif ssd.latest_complete() is None:
+                elif ssd_latest is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads the SSD tier but no "

@@ -543,10 +543,15 @@ class SimulatedTrainingSystem:
             window.done.succeed()
 
     def _close_macro_window(self) -> None:
-        """Discard an open window's unapplied tail (failure intake path)."""
+        """Discard an open window's unapplied tail (failure intake path).
+
+        The stale wake keeps the window object alive until the old end
+        time, so the tail's boundary floats are released here.
+        """
         window = self._macro_window
         if window is not None:
             window.token += 1
+            del window.boundaries[window.applied:]
             self._macro_window = None
 
     # ------------------------------------------------------------- failure intake
@@ -620,12 +625,24 @@ class SimulatedTrainingSystem:
         # policy's recover() dies mid-flight (e.g. an undefused
         # TransferAborted): the flag is released and waiters are woken,
         # so the next detection can start a fresh recovery instead of
-        # wedging training behind a flag nobody will ever clear.
+        # wedging training behind a flag nobody will ever clear.  The one
+        # exit that wakes no one is GeneratorExit: the garbage collector
+        # closing the unfinished recovery of a dropped system.  Scheduling
+        # the wake-up there would hand the dead simulator a new reference
+        # and keep the whole system alive until another full collection.
+        closed = False
         try:
             yield from self.policy.recover(trigger)
+        except GeneratorExit:
+            closed = True
+            raise
         finally:
             self._recovery_active = False
-            if self._recovery_done is not None and not self._recovery_done.triggered:
+            if (
+                not closed
+                and self._recovery_done is not None
+                and not self._recovery_done.triggered
+            ):
                 self._recovery_done.succeed()
 
     # ------------------------------------------------------------------ training

@@ -232,11 +232,12 @@ class GeminiPolicy(CheckpointPolicy):
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
         if write_stores:
-            cluster = kernel.cluster
+            # A valid store's machine still holds its rank: replacement
+            # needs the old hardware dead, which invalidates the store.
             for storer, store in self.stores.items():
-                if not (cluster.machine(storer).is_healthy or storer in assume_healthy):
-                    continue
-                if store.valid:
+                if store.valid and (
+                    store.machine.is_healthy or storer in assume_healthy
+                ):
                     store.commit_all(iteration)
         if iteration > 0:
             kernel.committed_iteration = iteration
@@ -332,11 +333,7 @@ class GeminiPolicy(CheckpointPolicy):
         cost = kernel.cost_model
         initially_missing = list(detected.missing_ranks)
         while True:
-            failed_hw = [
-                m.rank
-                for m in kernel.cluster.machines()
-                if m.state in (MachineState.FAILED, MachineState.REPLACING)
-            ]
+            failed_hw = kernel.cluster.failed_ranks()
             failed_sw = [
                 m.rank
                 for m in kernel.cluster.machines()

@@ -78,6 +78,24 @@ class UnrecoverableError(RuntimeError):
     """No complete checkpoint exists anywhere (not even persistent)."""
 
 
+def uniform_retrievals(
+    placement: Placement, source: RetrievalSource
+) -> List[ShardRetrieval]:
+    """A fresh list of one ``source`` retrieval per rank.
+
+    The retrievals themselves are immutable, so each placement builds the
+    tuple for a source once and every plan gets its own list copy.
+    """
+    shared = placement._uniform_retrievals.get(source)
+    if shared is None:
+        shared = tuple(
+            ShardRetrieval(rank=rank, source=source)
+            for rank in range(placement.num_machines)
+        )
+        placement._uniform_retrievals[source] = shared
+    return list(shared)
+
+
 def plan_recovery(
     placement: Placement,
     stores: Dict[int, CPUCheckpointStore],
@@ -92,57 +110,55 @@ def plan_recovery(
     """
     n = placement.num_machines
     failed = set(failed_ranks)
+    failed_sorted = sorted(failed)
 
     if failure_type is FailureType.SOFTWARE:
         # Hardware intact everywhere: every machine reloads its own local
         # replica (Figure 6b).
         iterations = [stores[rank].latest_complete(rank) for rank in range(n)]
         if all(it is not None for it in iterations):
-            rollback = min(iterations)
-            retrievals = [
-                ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU)
-                for rank in range(n)
-            ]
             return RecoveryPlan(
                 failure_type=failure_type,
-                failed_ranks=sorted(failed),
-                retrievals=retrievals,
-                rollback_iteration=rollback,
+                failed_ranks=failed_sorted,
+                retrievals=uniform_retrievals(placement, RetrievalSource.LOCAL_CPU),
+                rollback_iteration=min(iterations),
                 from_cpu_memory=True,
             )
-        return _persistent_plan(placement, persistent, failure_type, failed)
+        return _persistent_plan(placement, persistent, failure_type, failed_sorted)
 
-    # Hardware failure: can every lost shard be served by a survivor?
-    retrievals: List[ShardRetrieval] = []
-    iterations: List[int] = []
+    # Hardware failure: every survivor reads its own replica ...
+    rollback: Optional[int] = None
     for rank in range(n):
-        if rank not in failed:
-            own = stores[rank].latest_complete(rank)
-            if own is None:
-                return _persistent_plan(placement, persistent, failure_type, failed)
-            iterations.append(own)
-            retrievals.append(ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU))
+        if rank in failed:
             continue
-        peers = [
-            peer
-            for peer in placement.storers_of(rank)
-            if peer != rank
-            and peer not in failed
-            and stores[peer].latest_complete(rank) is not None
-        ]
-        if not peers:
+        own = stores[rank].latest_complete(rank)
+        if own is None:
+            return _persistent_plan(placement, persistent, failure_type, failed_sorted)
+        if rollback is None or own < rollback:
+            rollback = own
+    # ... and each lost shard comes from its lowest-ranked surviving peer
+    # with a complete copy.
+    retrievals = uniform_retrievals(placement, RetrievalSource.LOCAL_CPU)
+    for rank in failed_sorted:
+        for peer in sorted(placement.storers_of(rank)):
+            if peer == rank or peer in failed:
+                continue
+            latest = stores[peer].latest_complete(rank)
+            if latest is not None:
+                break
+        else:
             # Case 2: a whole placement group failed together.
-            return _persistent_plan(placement, persistent, failure_type, failed)
-        peer = min(peers)
-        iterations.append(stores[peer].latest_complete(rank))
-        retrievals.append(
-            ShardRetrieval(rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer)
+            return _persistent_plan(placement, persistent, failure_type, failed_sorted)
+        if rollback is None or latest < rollback:
+            rollback = latest
+        retrievals[rank] = ShardRetrieval(
+            rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer
         )
     return RecoveryPlan(
         failure_type=failure_type,
-        failed_ranks=sorted(failed),
+        failed_ranks=failed_sorted,
         retrievals=retrievals,
-        rollback_iteration=min(iterations),
+        rollback_iteration=rollback,
         from_cpu_memory=True,
     )
 
@@ -151,7 +167,7 @@ def _persistent_plan(
     placement: Placement,
     persistent: PersistentStore,
     failure_type: FailureType,
-    failed: set,
+    failed_sorted: List[int],
 ) -> RecoveryPlan:
     rollback = persistent.latest_complete()
     if rollback is None:
@@ -159,14 +175,10 @@ def _persistent_plan(
             "no complete checkpoint in persistent storage and CPU-memory "
             "replicas are unavailable"
         )
-    retrievals = [
-        ShardRetrieval(rank=rank, source=RetrievalSource.PERSISTENT)
-        for rank in range(placement.num_machines)
-    ]
     return RecoveryPlan(
         failure_type=failure_type,
-        failed_ranks=sorted(failed),
-        retrievals=retrievals,
+        failed_ranks=failed_sorted,
+        retrievals=uniform_retrievals(placement, RetrievalSource.PERSISTENT),
         rollback_iteration=rollback,
         from_cpu_memory=False,
     )

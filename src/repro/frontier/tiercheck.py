@@ -28,7 +28,7 @@ from repro.core.recovery import (
     RecoveryCostModel,
     RecoveryPlan,
     RetrievalSource,
-    ShardRetrieval,
+    uniform_retrievals,
 )
 from repro.storage.serialization import SerializationModel
 from repro.storage.ssd import (
@@ -180,14 +180,10 @@ class TierCheckPolicy(GeminiPolicy):
             return plan
         if plan.rollback_iteration is not None and ssd_latest < plan.rollback_iteration:
             return plan
-        retrievals = [
-            ShardRetrieval(rank=rank, source=RetrievalSource.SSD)
-            for rank in range(self.kernel.cluster.size)
-        ]
         return RecoveryPlan(
             failure_type=failure_type,
             failed_ranks=sorted(failed_ranks),
-            retrievals=retrievals,
+            retrievals=uniform_retrievals(self.placement, RetrievalSource.SSD),
             rollback_iteration=ssd_latest,
             from_cpu_memory=False,
         )

@@ -8,8 +8,8 @@ checkpoint recoverable — the double-buffer is what makes per-iteration
 checkpointing crash-consistent.
 
 Contents live in the machine's CPU memory and are destroyed by hardware
-failures (the store watches the machine's ``hardware_alive`` flag and its
-incarnation epoch).
+failures (the store watches the machine's incarnation epoch, which every
+hardware failure bumps).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class CPUCheckpointStore:
     machine:
         The owning machine; memory is accounted against it and contents are
         invalidated when its hardware fails (tracked via the machine epoch).
+        A store built on a machine whose hardware is already dead is
+        invalid from the start.
     obs:
         Optional :class:`repro.obs.Observability`; commits count bytes and
         hosted-replica gauges per machine.
@@ -50,7 +52,9 @@ class CPUCheckpointStore:
 
     def __init__(self, machine: Machine, obs=None):
         self.machine = machine
-        self._epoch = machine.epoch
+        # -1 is never a machine epoch: a store built on dead hardware is
+        # never valid.
+        self._epoch = machine.epoch if machine.hardware_alive else -1
         self._slots: Dict[int, ReplicaSlot] = {}
         self._obs = obs
 
@@ -67,8 +71,13 @@ class CPUCheckpointStore:
 
     @property
     def valid(self) -> bool:
-        """Contents survive only while the hardware incarnation is unchanged."""
-        return self.machine.hardware_alive and self.machine.epoch == self._epoch
+        """Contents survive only while the hardware incarnation is unchanged.
+
+        ``Machine.mark_failed`` is the only way out of ``hardware_alive``
+        and it always bumps the epoch (``REPLACING`` follows a failure),
+        so an unchanged epoch implies live hardware.
+        """
+        return self.machine.epoch == self._epoch
 
     def _check_valid(self) -> None:
         if not self.valid:

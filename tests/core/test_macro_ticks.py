@@ -27,7 +27,8 @@ from repro.chaos.degrade import (
 from repro.cluster import P4D_24XLARGE
 from repro.core.kernel import SimulatedTrainingSystem
 from repro.experiments import available_policies, create_policy
-from repro.failures import PoissonFailureInjector
+from repro.failures import FailureEvent, FailureType, PoissonFailureInjector
+from repro.failures.injector import apply_failure
 from repro.sim import RandomStreams, events_tally
 from repro.training import GPT2_100B
 from repro.units import DAY
@@ -130,3 +131,28 @@ def test_events_accounting_documented_consistent_under_coalescing():
     # Identical simulated outcome, an order fewer events fired.
     assert fast_result.final_iteration == slow_result.final_iteration
     assert fast_system.sim.events_processed < slow_system.sim.events_processed
+
+
+def test_failure_intake_releases_the_closed_window_tail():
+    """A closed window keeps only its applied boundaries, and the wake it
+    scheduled for its old end time changes nothing when it fires."""
+    policy = create_policy("gemini", use_agents=False)
+    system = SimulatedTrainingSystem(
+        GPT2_100B, P4D_24XLARGE, NUM_MACHINES, policy, seed=0, macro_ticks=True
+    )
+    failure_at = 50.5 * system.iteration_time
+    system.sim.run(until=failure_at)
+    window = system._macro_window
+    assert window is not None and len(window.boundaries) > 51
+    token = window.token
+    failure = FailureEvent(failure_at, FailureType.SOFTWARE, [3])
+    apply_failure(system.cluster, failure)
+    system.inject_failure(failure)
+
+    assert system._macro_window is None
+    assert len(window.boundaries) == window.applied == 50
+    assert window.boundaries[-1] < failure_at
+    state = (system.current_iteration, system.committed_iteration)
+    system._macro_wake(window, token)
+    assert (system.current_iteration, system.committed_iteration) == state
+    assert not window.done.triggered

@@ -1,7 +1,8 @@
 """GeminiSystem edge cases: cascading failures, mid-recovery failures."""
 
+import gc
 
-from repro.cluster import P4D_24XLARGE
+from repro.cluster import Machine, P4D_24XLARGE
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
 from repro.training import GPT2_100B
@@ -55,6 +56,34 @@ class TestMidRecoveryFailures:
         assert all(not record.from_cpu_memory or record.rollback_iteration > 0
                    for record in result.recoveries)
         assert all(machine.is_healthy for machine in system.cluster)
+
+
+class TestDroppedMidRecovery:
+    def test_one_full_collection_frees_the_system(self):
+        """Closing the unfinished recovery of a dropped system schedules
+        nothing, so no part of the system is resurrected by the collector
+        and kept alive until a second full collection."""
+
+        def live_machines():
+            return sum(isinstance(o, Machine) for o in gc.get_objects())
+
+        gc.collect()
+        gc.collect()
+        before = live_machines()
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 16, config=GeminiConfig(use_agents=False)
+        )
+        TraceFailureInjector(
+            system.sim,
+            system.cluster,
+            [FailureEvent(1000.0, FailureType.HARDWARE, [3])],
+            system.inject_failure,
+        )
+        system.run(1000.0 + 2 * MINUTE)
+        assert system.recovery_active
+        del system
+        gc.collect()
+        assert live_machines() == before
 
 
 class TestLightweightMode:

@@ -1,8 +1,10 @@
 """Double-buffered CPU-memory checkpoint store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import Machine, P4D_24XLARGE
+from repro.cluster import Machine, MachineState, P4D_24XLARGE
 from repro.storage import CPUCheckpointStore
 from repro.units import GB
 
@@ -108,3 +110,53 @@ class TestValidity:
         machine.mark_failed()
         with pytest.raises(RuntimeError):
             store.begin_write(0, 1)
+
+    def test_store_built_on_dead_machine_is_invalid(self, machine):
+        machine.mark_failed()
+        store = CPUCheckpointStore(machine)
+        assert not store.valid
+        assert store.latest_complete(0) is None
+        with pytest.raises(RuntimeError, match="invalid"):
+            store.host_shard(0, GB)
+        with pytest.raises(RuntimeError, match="invalid"):
+            store.commit_all(1)
+        with pytest.raises(RuntimeError, match="invalid"):
+            store.settle_at_rollback(1)
+
+    def test_store_built_during_replacement_is_invalid(self, machine):
+        machine.mark_failed()
+        machine.state = MachineState.REPLACING
+        assert not CPUCheckpointStore(machine).valid
+
+    @given(
+        steps=st.lists(
+            st.sampled_from(["software", "restart", "hardware", "replacing", "build"]),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_epoch_validity_matches_hardware_and_epoch_check(self, steps):
+        """``valid`` is an epoch compare; the check it replaces also polled
+        ``hardware_alive``.  Over any legal machine history they agree."""
+        machine = Machine("m0", 0, P4D_24XLARGE)
+        stores = [(CPUCheckpointStore(machine), machine.epoch)]
+        for step in steps:
+            if step == "software" and machine.state is not MachineState.FAILED:
+                machine.mark_process_down()
+            elif step == "restart" and machine.state is MachineState.PROCESS_DOWN:
+                machine.restart_process()
+            elif step == "hardware":
+                machine.mark_failed()
+            elif step == "replacing" and not machine.hardware_alive:
+                # The cloud operator only starts replacing dead hardware.
+                machine.state = MachineState.REPLACING
+            elif step == "build":
+                store = CPUCheckpointStore(machine)
+                if machine.hardware_alive:
+                    stores.append((store, machine.epoch))
+                else:
+                    assert not store.valid
+            for store, epoch_at_build in stores:
+                assert store.valid == (
+                    machine.hardware_alive and machine.epoch == epoch_at_build
+                ), (step, machine.state)
