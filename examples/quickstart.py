@@ -24,7 +24,7 @@ def main():
         config=GeminiConfig(num_replicas=2, num_standby=1),
     )
     print(f"cluster:    {system.cluster}")
-    print(f"placement:  {system.placement}")
+    print(f"placement:  {system.policy.placement}")
     print(f"iteration:  {fmt_seconds(system.iteration_time)} "
           f"(checkpointing to CPU memory every iteration)")
     shard_gb = system.spec.checkpoint_bytes_per_machine / 1e9

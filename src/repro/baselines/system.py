@@ -14,7 +14,7 @@ shared :class:`repro.core.kernel.SimulatedTrainingSystem` event loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Type
+from typing import Iterator, Optional
 
 from repro.baselines.policies import PolicyTimings, highfreq_policy, strawman_policy
 from repro.cluster.instances import InstanceType
@@ -94,7 +94,7 @@ class PersistentOnlyPolicy(CheckpointPolicy):
             yield kernel.sim.timeout(self._timings.stall_per_checkpoint)
             if not self._upload_in_flight:
                 self._upload_in_flight = True
-                kernel.sim.process(self._upload(finished), name="ckpt-upload")
+                kernel.sim.process(self._upload(), name="ckpt-upload")
 
     def coalesce_iterations(self, start: int) -> int:
         # Cadence-boundary iterations stall training (torch.save) and
@@ -112,25 +112,16 @@ class PersistentOnlyPolicy(CheckpointPolicy):
         # itself; the assignments are monotonic, so last-write-wins.
         self.kernel.committed_iteration = last
 
-    def _upload(self, snapshot: int):
+    def _upload(self):
         kernel = self.kernel
-        transfer = (
-            kernel.spec.checkpoint_bytes_total / kernel.persistent.aggregate_bandwidth
-        )
         try:
-            yield kernel.sim.timeout(transfer)
-            # The snapshot predates the transfer yield; a rollback or a
-            # machine loss in the window means these bytes describe a
-            # state the job no longer has — abandon, don't publish torn.
-            if (
-                kernel.committed_iteration < snapshot
-                or not kernel.upload_window_intact()
-            ):
+            # torch.save already stalled training: no serialization here.
+            snapshot, published = yield from kernel.upload_checkpoint(
+                kernel.persistent, serialize=False
+            )
+            if not published:
                 kernel.record_persistent_aborted(snapshot)
                 return
-            for rank in range(kernel.cluster.size):
-                kernel.persistent.put_shard(rank, snapshot)
-            kernel.persistent.prune(keep_latest=2)
             self.persisted_iteration = max(self.persisted_iteration, snapshot)
             kernel.record_persistent_checkpoint(snapshot)
         finally:
@@ -258,13 +249,6 @@ class HighFreqPolicy(PersistentOnlyPolicy):
         return highfreq_policy(spec, plan, self.persistent_bandwidth, serialization)
 
 
-#: constructor ``policy=`` strings accepted by :class:`BaselineSystem`.
-BASELINE_POLICIES: Dict[str, Type[PersistentOnlyPolicy]] = {
-    "strawman": StrawmanPolicy,
-    "highfreq": HighFreqPolicy,
-}
-
-
 class BaselineSystem(SimulatedTrainingSystem):
     """A training job checkpointing only to remote persistent storage.
 
@@ -285,21 +269,15 @@ class BaselineSystem(SimulatedTrainingSystem):
         plan: Optional[IterationPlan] = None,
     ):
         if isinstance(policy, str):
-            if policy in BASELINE_POLICIES:
-                policy_impl: CheckpointPolicy = BASELINE_POLICIES[policy](
-                    persistent_bandwidth=persistent_bandwidth
-                )
-            else:
-                # Fall through to the live registry so any registered
-                # policy works here, and a genuinely unknown name fails
-                # with the registry's current (not hardcoded) choices.
-                from repro.experiments.registry import create_policy
+            # Any registered policy works here; an unknown name fails
+            # with the registry's current choices.
+            from repro.experiments.registry import create_policy
 
-                policy_impl = create_policy(
-                    policy,
-                    persistent_bandwidth=persistent_bandwidth,
-                    use_agents=False,
-                )
+            policy_impl: CheckpointPolicy = create_policy(
+                policy,
+                persistent_bandwidth=persistent_bandwidth,
+                use_agents=False,
+            )
         else:
             policy_impl = policy
         super().__init__(

@@ -33,11 +33,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Type
 
 from repro.core.kernel import SimulatedTrainingSystem
-from repro.failures.injector import apply_failure
+from repro.failures.injector import ArrivalProcess, deliver
 from repro.failures.types import FailureEvent, FailureType
 from repro.sim import RandomStreams
 from repro.trace import TraceKind
-from repro.units import DAY
 
 __all__ = [
     "BandwidthDegradationInjector",
@@ -47,10 +46,9 @@ __all__ = [
 ]
 
 
-class _DegradationInjector:
-    """Poisson-arrival scaffolding for non-fail-stop events."""
-
-    stream_name = "chaos-degradation"
+class _DegradationInjector(ArrivalProcess):
+    """Non-fail-stop arrivals against one system: the shared arrival
+    loop plus the helpers every degradation strike uses."""
 
     def __init__(
         self,
@@ -60,27 +58,15 @@ class _DegradationInjector:
         rng: Optional[RandomStreams] = None,
         horizon: Optional[float] = None,
     ):
-        if events_per_day < 0:
-            raise ValueError(f"events_per_day must be >= 0, got {events_per_day}")
         self.system = system
-        self.sim = system.sim
-        self.events_per_day = events_per_day
-        self.horizon = horizon
-        self._rng = (rng or RandomStreams(0)).stream(self.stream_name)
-        #: log of delivered degradations (the trace detail dicts).
-        self.injected: List[Dict[str, Any]] = []
-        if events_per_day > 0:
-            self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        when = self.sim.now + self._rng.expovariate(self.events_per_day / DAY)
-        if self.horizon is not None and when > self.horizon:
-            return
-        self.sim.call_at(when, self._fire)
-
-    def _fire(self) -> None:
-        self._strike()
-        self._schedule_next()
+        super().__init__(
+            system.sim,
+            system.cluster,
+            system.inject_failure,
+            events_per_day=events_per_day,
+            rng=rng,
+            horizon=horizon,
+        )
 
     def _interrupt_macro_ticks(self) -> None:
         """Degradations make further coalescing illegal: put completed
@@ -92,16 +78,13 @@ class _DegradationInjector:
         self.system.settle_iterations(strict=True)
         self.system.macro_interrupt()
 
-    def _strike(self) -> None:
-        raise NotImplementedError
-
     def _record(self, kind: str, **detail: Any) -> None:
         entry = dict(degradation=kind, **detail)
         self.system.trace.record(self.sim.now, TraceKind.DEGRADATION, **entry)
         self.injected.append(dict(entry, time=self.sim.now))
 
     def _pick_healthy_rank(self) -> Optional[int]:
-        healthy = self.system.cluster.healthy_ranks()
+        healthy = self.cluster.healthy_ranks()
         if not healthy:
             return None
         return healthy[self._rng.randrange(len(healthy))]
@@ -151,7 +134,7 @@ class BandwidthDegradationInjector(_DegradationInjector):
         rank = self._pick_healthy_rank()
         if rank is None:
             return
-        machine_id = self.system.cluster.machine(rank).machine_id
+        machine_id = self.cluster.machine(rank).machine_id
         if machine_id in self._degraded_ids or not fabric.has_machine(machine_id):
             return
         original = fabric.egress(machine_id).capacity
@@ -296,11 +279,11 @@ class ReplicaCorruptionInjector(_DegradationInjector):
             "corruption", rank=victim, scope=self.scope, storers=hit,
             coupled_failure=self.couple_failure,
         )
-        if self.couple_failure and self.system.cluster.machine(victim).is_healthy:
-            event = FailureEvent(self.sim.now, FailureType.SOFTWARE, [victim])
-            apply_failure(self.system.cluster, event)
-            self.failures.append(event)
-            self.system.inject_failure(event)
+        if self.couple_failure and self.cluster.machine(victim).is_healthy:
+            deliver(
+                self.cluster, self.handler, self.failures,
+                self.sim.now, FailureType.SOFTWARE, [victim],
+            )
 
 
 #: scenario degradation kind -> injector class

@@ -18,11 +18,11 @@ time.  This module adds the generators the chaos campaigns run:
   the Section 6 Case-2 fallback to persistent storage (or, with
   ``spare_one``, the hardest still-recoverable case).
 
-All randomness flows through named :class:`repro.sim.RandomStreams`
-streams, and every injector follows the firer discipline of
-:mod:`repro.failures.injector`: ranks that are already down are filtered
-out at fire time and the events actually delivered are appended to
-``injected``.
+Every generator runs on :class:`repro.failures.injector.ArrivalProcess`
+(one named :class:`repro.sim.RandomStreams` stream each) and injects
+through :func:`repro.failures.injector.deliver`: ranks that are already
+down are filtered out at fire time and the events actually delivered
+are appended to ``injected``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.placement import Placement
-from repro.failures.injector import FailureHandler, apply_failure
-from repro.failures.types import FailureEvent, FailureType
+from repro.failures.injector import ArrivalProcess, FailureHandler, deliver
+from repro.failures.types import FailureType
 from repro.sim import RandomStreams, Simulator
 from repro.units import DAY, HOUR, MINUTE
 
@@ -124,87 +124,26 @@ class FaultDomainTopology:
         raise KeyError(f"rank {rank} is in no fault domain")
 
 
-class _ScheduledInjector:
-    """Shared arrival scaffolding: draw a gap, fire a strike, repeat.
-
-    Subclasses override :meth:`_strike` (what one arrival does) and
-    optionally :meth:`_next_gap` (the inter-arrival distribution; the
-    default is memoryless at ``events_per_day``).
-    """
-
-    #: name of the RandomStreams stream this injector draws from.
-    stream_name = "chaos"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cluster: Cluster,
-        handler: FailureHandler,
-        *,
-        events_per_day: float,
-        rng: Optional[RandomStreams] = None,
-        horizon: Optional[float] = None,
-    ):
-        if events_per_day < 0:
-            raise ValueError(f"events_per_day must be >= 0, got {events_per_day}")
-        self.sim = sim
-        self.cluster = cluster
-        self.handler = handler
-        self.events_per_day = events_per_day
-        self.horizon = horizon
-        self._rng = (rng or RandomStreams(0)).stream(self.stream_name)
-        self.injected: List[FailureEvent] = []
-        if events_per_day > 0:
-            self._schedule_next()
-
-    def _next_gap(self) -> float:
-        return self._rng.expovariate(self.events_per_day / DAY)
-
-    def _schedule_next(self) -> None:
-        when = self.sim.now + self._next_gap()
-        if self.horizon is not None and when > self.horizon:
-            return
-        self.sim.call_at(when, self._fire)
-
-    def _fire(self) -> None:
-        self._strike()
-        self._schedule_next()
-
-    def _strike(self) -> None:
-        raise NotImplementedError
-
-    def _deliver(
-        self, failure_type: FailureType, ranks: List[int]
-    ) -> Optional[FailureEvent]:
-        """Down the still-susceptible subset of ``ranks`` and notify.
-
-        Software failures only hit healthy machines; hardware failures
-        also escalate a PROCESS_DOWN machine (its hardware was still
-        alive).  Returns the delivered event, or ``None`` when every
-        target was already down.
-        """
-        if failure_type is FailureType.HARDWARE:
-            live = [
-                rank
-                for rank in sorted(ranks)
-                if self.cluster.machine(rank).hardware_alive
-            ]
-        else:
-            live = [
-                rank
-                for rank in sorted(ranks)
-                if self.cluster.machine(rank).is_healthy
-            ]
-        if not live:
-            return None
-        event = FailureEvent(self.sim.now, failure_type, live)
-        apply_failure(self.cluster, event)
-        self.injected.append(event)
-        self.handler(event)
-        return event
+def _deliver_susceptible(
+    injector: ArrivalProcess, failure_type: FailureType, ranks: List[int]
+) -> None:
+    """Deliver ``failure_type`` to the sorted subset of ``ranks`` it can
+    still take down: software failures only hit healthy machines;
+    hardware failures also escalate a PROCESS_DOWN machine (its hardware
+    was still alive).  Nothing is delivered when every target is down."""
+    cluster = injector.cluster
+    if failure_type is FailureType.HARDWARE:
+        live = [rank for rank in sorted(ranks) if cluster.machine(rank).hardware_alive]
+    else:
+        live = [rank for rank in sorted(ranks) if cluster.machine(rank).is_healthy]
+    if live:
+        deliver(
+            cluster, injector.handler, injector.injected,
+            injector.sim.now, failure_type, live,
+        )
 
 
-class CorrelatedFailureInjector(_ScheduledInjector):
+class CorrelatedFailureInjector(ArrivalProcess):
     """Domain faults: each arrival downs one whole fault domain at once.
 
     Arrivals are Poisson at ``events_per_day`` *per cluster*; each picks
@@ -268,7 +207,7 @@ class CorrelatedFailureInjector(_ScheduledInjector):
     def _strike(self) -> None:
         domains = self.topology.domains
         domain = domains[self._rng.randrange(len(domains))]
-        self._deliver(FailureType.HARDWARE, list(domain))
+        _deliver_susceptible(self, FailureType.HARDWARE, list(domain))
 
 
 #: OPT-175B-logbook-flavoured inter-arrival buckets: (seconds, weight).
@@ -296,7 +235,7 @@ OPT_SEVERITY_WEIGHTS: Tuple[Tuple[FailureType, int, float], ...] = (
 )
 
 
-class EmpiricalFailureInjector(_ScheduledInjector):
+class EmpiricalFailureInjector(ArrivalProcess):
     """Failures drawn from an empirical (logbook-style) distribution.
 
     Inter-arrival gaps are sampled from weighted buckets (jittered
@@ -354,14 +293,14 @@ class EmpiricalFailureInjector(_ScheduledInjector):
         if not pool:
             return
         victims = self._rng.sample(pool, min(count, len(pool)))
-        self._deliver(failure_type, victims)
+        _deliver_susceptible(self, failure_type, victims)
 
 
 #: zero-argument callable returning the live placement (or None).
 PlacementProvider = Callable[[], Optional[Placement]]
 
 
-class AdversarialFailureInjector(_ScheduledInjector):
+class AdversarialFailureInjector(ArrivalProcess):
     """Targets a whole replica-placement group: Theorem 1's worst case.
 
     ``placement_provider`` is read at *fire time*, so the adversary
@@ -427,4 +366,4 @@ class AdversarialFailureInjector(_ScheduledInjector):
         return sorted((start + i) % self.cluster.size for i in range(size))
 
     def _strike(self) -> None:
-        self._deliver(FailureType.HARDWARE, self._target())
+        _deliver_susceptible(self, FailureType.HARDWARE, self._target())

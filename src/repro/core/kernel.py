@@ -37,7 +37,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.operator import CloudOperator
 from repro.cluster.catalog import ClusterSpec
@@ -57,6 +57,7 @@ from repro.units import gbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.policies import PolicyTimings
+    from repro.storage.ssd import SSDStore
 
 
 @dataclass
@@ -749,6 +750,52 @@ class SimulatedTrainingSystem:
             self.settle_iterations(strict=True)
             yield from self.policy.on_persistent_tick()
 
+    def upload_checkpoint(
+        self,
+        tier: Union[PersistentStore, SSDStore],
+        *,
+        serialize: bool = True,
+        prune: bool = True,
+    ):
+        """Upload the committed iteration to a durable ``tier`` (generator).
+
+        Every durable-tier writer goes through here: the persistent tick,
+        the on-demand user checkpoint, the baselines' uploader and
+        TierCheck's SSD loop.  The snapshot is read once, serialized from
+        the CPU-memory replica (skipped with ``serialize=False`` when the
+        writer already stalled training for torch.save), then written
+        through ``tier.write_time``.  A checkpoint is only usable once
+        every rank's shard has landed (§6), so the window is re-checked
+        after the last suspension: if the job rolled back behind the
+        snapshot, a recovery is running, or any machine is down, the
+        serialized bytes describe a state the cluster no longer has and
+        publishing them would commit a torn checkpoint.
+
+        Returns ``(snapshot, published)``; callers record the outcome.
+        """
+        self.settle_iterations(strict=True)
+        snapshot = self.committed_iteration
+        if serialize:
+            yield self.sim.timeout(
+                self.cost_model.serialization.save_time(
+                    self.spec.checkpoint_bytes_per_machine
+                )
+            )
+        yield self.sim.timeout(tier.write_time(self.spec.checkpoint_bytes_total))
+        if self.committed_iteration < snapshot or not self.upload_window_intact():
+            return snapshot, False
+        for rank in range(self.cluster.size):
+            tier.put_shard(rank, snapshot)
+        if prune:
+            tier.prune(keep_latest=2)
+        return snapshot, True
+
+    def upload_window_intact(self) -> bool:
+        """True when no recovery is running and every machine is healthy."""
+        if self._recovery_active:
+            return False
+        return all(m.is_healthy for m in self.cluster.machines())
+
     def record_persistent_checkpoint(self, snapshot: int, **extra) -> None:
         """Bookkeeping after the persistent tier gained ``snapshot``."""
         self.settle_iterations(strict=True)
@@ -757,22 +804,6 @@ class SimulatedTrainingSystem:
             self.sim.now, TraceKind.PERSISTENT_CHECKPOINT,
             iteration=snapshot, **extra,
         )
-
-    def upload_window_intact(self) -> bool:
-        """True when a persistent-upload window survived without damage.
-
-        Persistent uploads serialize a snapshot, then yield for the
-        transfer, then publish shards.  A failure inside that window
-        invalidates the plan the upload was acting on: the serialized
-        bytes may describe a cluster state the job has since rolled
-        back behind, and publishing them would commit a torn
-        checkpoint.  Callers re-check ``committed_iteration`` against
-        their snapshot *and* this predicate after every suspension,
-        before ``put_shard``.
-        """
-        if self._recovery_active:
-            return False
-        return all(m.is_healthy for m in self.cluster.machines())
 
     def record_persistent_aborted(self, snapshot: int, **extra) -> None:
         """Bookkeeping after an upload window tore and was abandoned."""
@@ -818,25 +849,14 @@ class SimulatedTrainingSystem:
         done = self.sim.event(name="user-checkpoint")
 
         def upload():
-            self.settle_iterations(strict=True)
-            snapshot = self.committed_iteration
             started_at = self.sim.now
-            serialization = self.cost_model.serialization
-            yield self.sim.timeout(
-                serialization.save_time(self.spec.checkpoint_bytes_per_machine)
+            snapshot, published = yield from self.upload_checkpoint(
+                self.persistent, prune=False
             )
-            transfer = (
-                self.spec.checkpoint_bytes_total / self.persistent.aggregate_bandwidth
-            )
-            yield self.sim.timeout(transfer)
-            # A failure in the upload window invalidates the snapshot:
-            # abandon the publish rather than commit a torn checkpoint.
-            if self.committed_iteration < snapshot or not self.upload_window_intact():
+            if not published:
                 self.record_persistent_aborted(snapshot, on_demand=True)
                 done.succeed(None)
                 return
-            for rank in range(self.cluster.size):
-                self.persistent.put_shard(rank, snapshot)
             self.record_persistent_checkpoint(snapshot, on_demand=True)
             # repro: allow[RACE005] started_at is the span start, by design
             self.emit_persistent_telemetry(snapshot, started_at)

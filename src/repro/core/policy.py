@@ -270,27 +270,11 @@ class GeminiPolicy(CheckpointPolicy):
 
     def on_persistent_tick(self) -> Iterator:
         kernel = self.kernel
-        serialization = kernel.cost_model.serialization
-        snapshot = kernel.committed_iteration
         started_at = kernel.sim.now
-        # Serialize from the CPU-memory replica (does not block training)
-        yield kernel.sim.timeout(
-            serialization.save_time(kernel.spec.checkpoint_bytes_per_machine)
-        )
-        transfer = (
-            kernel.spec.checkpoint_bytes_total / kernel.persistent.aggregate_bandwidth
-        )
-        yield kernel.sim.timeout(transfer)
-        # The snapshot was taken before the yields above; if the job
-        # rolled back behind it or a machine died in the window, the
-        # serialized bytes describe a state the cluster no longer has —
-        # publishing them would commit a torn checkpoint.
-        if kernel.committed_iteration < snapshot or not kernel.upload_window_intact():
+        snapshot, published = yield from kernel.upload_checkpoint(kernel.persistent)
+        if not published:
             kernel.record_persistent_aborted(snapshot)
             return
-        for rank in range(kernel.cluster.size):
-            kernel.persistent.put_shard(rank, snapshot)
-        kernel.persistent.prune(keep_latest=2)
         kernel.record_persistent_checkpoint(snapshot)
         # repro: allow[RACE005] started_at is the span start, by design
         kernel.emit_persistent_telemetry(snapshot, started_at)

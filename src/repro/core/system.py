@@ -6,8 +6,8 @@ replacement, recovery lifecycle, obs instrumentation) lives in
 behavior (placement, CPU-memory stores, worker/root agents, tiered
 recovery) lives in :class:`repro.core.policy.GeminiPolicy`.  This module
 keeps the original public API: ``GeminiSystem(model, instance, N,
-config=...)`` builds the kernel with a GEMINI policy and exposes the
-policy's substrate under the historical attribute names.
+config=...)`` builds the kernel with a GEMINI policy; its substrate
+(placement, stores, agents) lives on ``system.policy``.
 
 ``GeminiConfig`` and ``SystemResult`` are re-exported here for
 compatibility — most call sites import them from this module.
@@ -15,15 +15,13 @@ compatibility — most call sites import them from this module.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cluster.instances import InstanceType
-from repro.core.agents import RootAgent, WorkerAgent
 from repro.core.kernel import SimulatedTrainingSystem, SystemResult
 from repro.core.placement import Placement
 from repro.core.policy import GeminiConfig, GeminiPolicy
 from repro.obs import Observability
-from repro.storage.cpu_memory import CPUCheckpointStore
 from repro.training.models import ModelConfig
 from repro.training.timeline import IterationPlan
 
@@ -60,24 +58,7 @@ class GeminiSystem(SimulatedTrainingSystem):
         )
         self.config = config
 
-    # Historical attribute names, now owned by the policy. ---------------------
-
-    @property
-    def placement(self) -> Placement:
-        return self.policy.placement
-
-    @property
-    def stores(self) -> Dict[int, CPUCheckpointStore]:
-        return self.policy.stores
-
-    @property
-    def worker_agents(self) -> Dict[int, WorkerAgent]:
-        return self.policy.worker_agents
-
-    @property
-    def root_agents(self) -> Dict[int, RootAgent]:
-        return self.policy.root_agents
-
     @property
     def leader_rank(self) -> Optional[int]:
+        """Rank of the current root-agent leader (``None`` without agents)."""
         return self.policy.leader_rank

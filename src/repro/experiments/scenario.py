@@ -33,6 +33,7 @@ from repro.cluster.instances import get_instance_type
 from repro.experiments.registry import create_policy, get_policy
 from repro.failures.injector import PoissonFailureInjector
 from repro.sim import RandomStreams
+from repro.storage.persistent import DEFAULT_PERSISTENT_BANDWIDTH
 from repro.training.models import get_model
 from repro.units import DAY
 
@@ -275,7 +276,8 @@ class Scenario:
             instance = cluster_spec.primary_instance_type()
         else:
             instance = get_instance_type(self.instance)
-        policy = create_policy(self.policy, **self.policy_options())
+        options = self.policy_options()
+        policy = create_policy(self.policy, **options)
         system = SimulatedTrainingSystem(
             model,
             instance,
@@ -283,6 +285,10 @@ class Scenario:
             policy,
             seed=seed,
             num_standby=self.num_standby,
+            # The policy's cadence and the store it uploads to share one pipe.
+            persistent_bandwidth=options.get(
+                "persistent_bandwidth", DEFAULT_PERSISTENT_BANDWIDTH
+            ),
             sanitize=self.sanitize,
             cluster_spec=cluster_spec,
         )

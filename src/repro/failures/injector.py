@@ -3,11 +3,15 @@
 Injectors only *announce* failures by applying machine state transitions
 and invoking a handler; detection latency, recovery orchestration, and
 machine replacement belong to the recovery module and cloud operator.
+
+Two pieces are shared with every injector in :mod:`repro.chaos`:
+:func:`deliver` (build, apply, log and hand off one failure) and
+:class:`ArrivalProcess` (the random arrival loop).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.failures.types import FailureEvent, FailureType
@@ -45,6 +49,81 @@ def apply_failure(cluster: Cluster, event: FailureEvent) -> None:
         else:
             if machine.hardware_alive:
                 machine.mark_failed()
+
+
+def deliver(
+    cluster: Cluster,
+    handler: FailureHandler,
+    log: List[FailureEvent],
+    time: float,
+    failure_type: FailureType,
+    ranks: List[int],
+) -> None:
+    """Inject one failure: build the event, apply it, log it, hand it off.
+
+    ``ranks`` must already be filtered to the machines the failure can
+    take down; each injector keeps its own susceptibility rule.
+    """
+    event = FailureEvent(time, failure_type, ranks)
+    apply_failure(cluster, event)
+    log.append(event)
+    handler(event)
+
+
+class ArrivalProcess:
+    """Random arrivals on the simulated clock: draw a gap, strike, repeat.
+
+    The shared scaffold of every random injector: it checks the rate,
+    draws from the :class:`RandomStreams` stream named ``stream_name``,
+    stops at ``horizon``, and spaces arrivals memorylessly at
+    ``events_per_day`` across the cluster.  Subclasses override
+    :meth:`_strike` (what one arrival does) and may override
+    :meth:`_next_gap` (the inter-arrival distribution).  A strike that
+    injects a failure does so through :func:`deliver` with ``cluster``
+    and ``handler``.
+    """
+
+    #: name of the RandomStreams stream this injector draws from.
+    stream_name: str
+
+    def __init__(
+        self,
+        sim: Simulator,
+        cluster: Cluster,
+        handler: FailureHandler,
+        *,
+        events_per_day: float,
+        rng: Optional[RandomStreams] = None,
+        horizon: Optional[float] = None,
+    ):
+        if events_per_day < 0:
+            raise ValueError(f"arrivals per day must be >= 0, got {events_per_day}")
+        self.sim = sim
+        self.cluster = cluster
+        self.handler = handler
+        self.events_per_day = events_per_day
+        self.horizon = horizon
+        self._rng = (rng or RandomStreams(0)).stream(self.stream_name)
+        #: what each strike delivered, in arrival order.
+        self.injected: List[Any] = []
+        if events_per_day > 0:
+            self._schedule_next()
+
+    def _next_gap(self) -> float:
+        return self._rng.expovariate(self.events_per_day / DAY)
+
+    def _schedule_next(self) -> None:
+        when = self.sim.now + self._next_gap()
+        if self.horizon is not None and when > self.horizon:
+            return
+        self.sim.call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        self._strike()
+        self._schedule_next()
+
+    def _strike(self) -> None:
+        raise NotImplementedError
 
 
 class TraceFailureInjector:
@@ -85,17 +164,16 @@ class TraceFailureInjector:
                 for rank in event.ranks
                 if self.cluster.machine(rank).is_healthy
             ]
-            if not live:
-                return
-            actual = FailureEvent(event.time, event.failure_type, live)
-            apply_failure(self.cluster, actual)
-            self.injected.append(actual)
-            self.handler(actual)
+            if live:
+                deliver(
+                    self.cluster, self.handler, self.injected,
+                    event.time, event.failure_type, live,
+                )
 
         return fire
 
 
-class PoissonFailureInjector:
+class PoissonFailureInjector(ArrivalProcess):
     """Memoryless failures at ``daily_rate`` per machine per day.
 
     Each arrival picks one healthy machine uniformly at random and draws
@@ -103,6 +181,8 @@ class PoissonFailureInjector:
     The aggregate arrival rate scales with cluster size, reproducing the
     paper's "failure frequency increases with the number of instances".
     """
+
+    stream_name = "failures"
 
     def __init__(
         self,
@@ -114,44 +194,35 @@ class PoissonFailureInjector:
         rng: Optional[RandomStreams] = None,
         horizon: Optional[float] = None,
     ):
-        if daily_rate < 0:
-            raise ValueError(f"daily_rate must be >= 0, got {daily_rate}")
         if not 0 <= software_fraction <= 1:
             raise ValueError(f"software_fraction must be in [0,1], got {software_fraction}")
-        self.sim = sim
-        self.cluster = cluster
-        self.handler = handler
         self.daily_rate = daily_rate
         self.software_fraction = software_fraction
-        self._rng = (rng or RandomStreams(0)).stream("failures")
-        self.horizon = horizon
-        self.injected: List[FailureEvent] = []
-        if daily_rate > 0:
-            self._schedule_next()
+        super().__init__(
+            sim,
+            cluster,
+            handler,
+            events_per_day=daily_rate * cluster.size,
+            rng=rng,
+            horizon=horizon,
+        )
 
     @property
     def aggregate_rate_per_second(self) -> float:
         """Cluster-wide failure arrival rate (machines x per-machine rate)."""
-        return self.daily_rate * self.cluster.size / DAY
+        return self.events_per_day / DAY
 
-    def _schedule_next(self) -> None:
-        gap = self._rng.expovariate(self.aggregate_rate_per_second)
-        when = self.sim.now + gap
-        if self.horizon is not None and when > self.horizon:
-            return
-        self.sim.call_at(when, self._fire)
-
-    def _fire(self) -> None:
+    def _strike(self) -> None:
         healthy = self.cluster.healthy_ranks()
-        if healthy:
-            rank = self._rng.choice(healthy)
-            failure_type = (
-                FailureType.SOFTWARE
-                if self._rng.random() < self.software_fraction
-                else FailureType.HARDWARE
-            )
-            event = FailureEvent(self.sim.now, failure_type, [rank])
-            apply_failure(self.cluster, event)
-            self.injected.append(event)
-            self.handler(event)
-        self._schedule_next()
+        if not healthy:
+            return
+        rank = self._rng.choice(healthy)
+        failure_type = (
+            FailureType.SOFTWARE
+            if self._rng.random() < self.software_fraction
+            else FailureType.HARDWARE
+        )
+        deliver(
+            self.cluster, self.handler, self.injected,
+            self.sim.now, failure_type, [rank],
+        )

@@ -9,10 +9,11 @@ CPU memory when a complete replica survives everywhere, otherwise the SSD
 pool when it holds a checkpoint at least as new as persistent storage,
 and only then the 20 Gbps persistent pipe.
 
-The SSD loop mirrors the kernel's persistent loop discipline — settle
-macro boundaries before reading job state, snapshot the committed
-iteration, serialize + transfer as timeouts, and abandon the publish when
-the upload window tears (a failure or rollback landed mid-transfer).
+The SSD loop uploads through the kernel's one durable-tier writer
+(:meth:`~repro.core.kernel.SimulatedTrainingSystem.upload_checkpoint`),
+the same guarded upload the persistent tier uses: snapshot the committed
+iteration, serialize + write as timeouts, and abandon the publish when
+the upload window tears (a failure or rollback landed mid-write).
 ``on_iteration`` stays GEMINI's pure commit, so macro-tick coalescing
 remains legal; the SSD loop is an independent process the window never
 has to skip.
@@ -129,34 +130,19 @@ class TierCheckPolicy(GeminiPolicy):
         kernel = self.kernel
         while not kernel._stopped:
             yield kernel.sim.timeout(self.ssd_interval)
-            # The snapshot reads committed_iteration: settle macro
-            # boundaries first, exactly like the kernel's persistent loop.
+            # Settle macro boundaries before comparing against the pool.
             kernel.settle_iterations(strict=True)
-            snapshot = kernel.committed_iteration
             latest = self.ssd.latest_complete()
-            if latest is not None and snapshot <= latest:
+            if latest is not None and kernel.committed_iteration <= latest:
                 continue  # nothing new since the last SSD snapshot
-            serialization = kernel.cost_model.serialization
-            yield kernel.sim.timeout(
-                serialization.save_time(kernel.spec.checkpoint_bytes_per_machine)
-            )
-            yield kernel.sim.timeout(
-                self.ssd.write_time(kernel.spec.checkpoint_bytes_total)
-            )
-            # Snapshot taken before the yields: a rollback behind it or a
-            # failure inside the window makes the serialized bytes
-            # describe state the cluster no longer has — abandon them.
-            if kernel.committed_iteration < snapshot or not kernel.upload_window_intact():
-                kernel.settle_iterations(strict=True)
+            snapshot, published = yield from kernel.upload_checkpoint(self.ssd)
+            kernel.settle_iterations(strict=True)
+            if not published:
                 kernel.trace.record(
                     kernel.sim.now, TraceKind.SSD_ABORTED, iteration=snapshot
                 )
                 continue
-            for rank in range(kernel.cluster.size):
-                self.ssd.put_shard(rank, snapshot)
-            self.ssd.prune(keep_latest=2)
             self.ssd_checkpoints += 1
-            kernel.settle_iterations(strict=True)
             kernel.trace.record(
                 kernel.sim.now, TraceKind.SSD_CHECKPOINT, iteration=snapshot
             )

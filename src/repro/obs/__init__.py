@@ -7,7 +7,7 @@ went:
 
 - :class:`MetricsRegistry` — labeled counters, gauges, and fixed-bucket
   histograms, timestamped with the simulation clock;
-- :class:`Tracer` / :func:`span` — nested spans on the simulated clock,
+- :class:`Tracer` — nested spans on the simulated clock,
   interoperating with the flat :class:`repro.trace.TraceLog`;
 - exporters — Prometheus text exposition for metrics, Chrome trace-event
   JSON (Perfetto-loadable) and JSONL for spans.
@@ -27,13 +27,6 @@ Usage::
     system = GeminiSystem(..., obs=obs)       # binds the sim clock
     system.run(3600.0)
     print(to_prometheus(obs.metrics))
-
-or module-level, via the default observability::
-
-    from repro.obs import span, get_observability
-
-    with span("checkpoint.commit", machine=3):
-        ...
 """
 
 from __future__ import annotations
@@ -124,42 +117,6 @@ class Observability:
 #: The shared no-op bundle handed to components when no ``obs`` is given.
 NULL_OBSERVABILITY = Observability.disabled()
 
-_default: Observability = NULL_OBSERVABILITY
-
-
-def get_observability() -> Observability:
-    """The process-wide default bundle (disabled until configured)."""
-    return _default
-
-
-def configure(obs: Optional[Observability] = None, enabled: bool = True) -> Observability:
-    """Install (or build) the process-wide default bundle.
-
-    ``configure()`` enables a fresh bundle; ``configure(enabled=False)``
-    restores the no-op default; ``configure(my_obs)`` installs yours.
-    Returns the installed bundle.
-    """
-    global _default
-    if obs is None:
-        obs = Observability() if enabled else NULL_OBSERVABILITY
-    _default = obs
-    return obs
-
-
-def get_registry() -> MetricsRegistry:
-    """The default bundle's metrics registry."""
-    return _default.metrics
-
-
-def get_tracer() -> Tracer:
-    """The default bundle's tracer."""
-    return _default.tracer
-
-
-def span(name: str, track: str = "main", **args: Any):
-    """Open a span on the default tracer: ``with span("phase", rank=3):``."""
-    return _default.tracer.span(name, track=track, **args)
-
 
 __all__ = [
     "Counter",
@@ -184,10 +141,6 @@ __all__ = [
     "Span",
     "TelemetryEmitter",
     "Tracer",
-    "configure",
-    "get_observability",
-    "get_registry",
-    "get_tracer",
     "load_trace",
     "read_fleet_events",
     "render_fleet_summary",
@@ -195,7 +148,6 @@ __all__ = [
     "replay_events",
     "sanitize_label_name",
     "sanitize_metric_name",
-    "span",
     "spans_from_jsonl",
     "spans_to_jsonl",
     "summarize",

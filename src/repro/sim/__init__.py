@@ -34,7 +34,7 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.sanitize import DeterminismViolation, determinism_guard
 
@@ -46,13 +46,11 @@ __all__ = [
     "Event",
     "EventAlreadyFired",
     "Interrupted",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
     "Simulator",
     "SimulationError",
-    "Store",
     "StopSimulation",
     "Timeout",
     "determinism_guard",

@@ -1,18 +1,13 @@
 """Shared resources for simulated processes.
 
-:class:`Resource` is a counted semaphore with FIFO queuing (e.g. a NIC send
-slot, a storage write channel).  :class:`PriorityResource` adds a priority
-lane so training traffic can preempt queued checkpoint traffic requests.
-:class:`Store` is a FIFO item buffer with blocking get/put (used for agent
-mailboxes and the checkpoint chunk pipeline).
+:class:`Resource` is a counted semaphore with FIFO queuing (the
+checkpoint chunk pipeline's NIC send slot and staging buffers).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Deque, List
 
 from repro.sim.events import Event
 
@@ -28,12 +23,11 @@ class Request(Event):
         # released on exit
     """
 
-    __slots__ = ("resource", "priority", "_released")
+    __slots__ = ("resource", "_released")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim, name=f"Request({resource.name})")
         self.resource = resource
-        self.priority = priority
         self._released = False
 
     def release(self) -> None:
@@ -76,100 +70,22 @@ class Resource:
         """Number of requests still waiting."""
         return len(self._waiting)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event fires when granted."""
-        req = Request(self, priority=priority)
+        req = Request(self)
         self._waiting.append(req)
         self._grant()
         return req
 
     def _grant(self) -> None:
         while self._waiting and len(self._users) < self.capacity:
-            req = self._next_request()
+            req = self._waiting.popleft()
             if req._released:
                 continue  # cancelled while queued
             self._users.append(req)
             req.succeed(req)
 
-    def _next_request(self) -> Request:
-        return self._waiting.popleft()
-
     def _release(self, req: Request) -> None:
         if req in self._users:
             self._users.remove(req)
         self._grant()
-
-
-class PriorityResource(Resource):
-    """Resource granting the lowest-priority-number request first (FIFO ties)."""
-
-    def __init__(self, sim, capacity: int = 1, name: str = "priority-resource"):
-        super().__init__(sim, capacity=capacity, name=name)
-        self._heap: List[Tuple[int, int, Request]] = []
-        self._counter = itertools.count()
-
-    def request(self, priority: int = 0) -> Request:
-        req = Request(self, priority=priority)
-        heapq.heappush(self._heap, (priority, next(self._counter), req))
-        self._grant()
-        return req
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def _grant(self) -> None:
-        while self._heap and len(self._users) < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._heap)
-            if req._released:
-                continue
-            self._users.append(req)
-            req.succeed(req)
-
-    def _next_request(self) -> Request:  # pragma: no cover - unused lane
-        raise NotImplementedError
-
-
-class Store:
-    """Unbounded-or-bounded FIFO buffer of items with blocking get/put."""
-
-    def __init__(self, sim, capacity: Optional[int] = None, name: str = "store"):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the returned event fires once the item is stored."""
-        event = Event(self.sim, name=f"Put({self.name})")
-        self._putters.append((event, item))
-        self._drain()
-        return event
-
-    def get(self) -> Event:
-        """Remove the oldest item; the event's value is the item."""
-        event = Event(self.sim, name=f"Get({self.name})")
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and (self.capacity is None or len(self.items) < self.capacity):
-                event, item = self._putters.popleft()
-                self.items.append(item)
-                event.succeed(item)
-                progressed = True
-            if self._getters and self.items:
-                event = self._getters.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True
-
-    def __len__(self) -> int:
-        return len(self.items)

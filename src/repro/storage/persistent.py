@@ -61,6 +61,10 @@ class PersistentStore:
 
     # -- writes -----------------------------------------------------------------
 
+    def write_time(self, nbytes: float) -> float:
+        """Seconds to upload ``nbytes`` through the shared pipe."""
+        return nbytes / self.aggregate_bandwidth
+
     def put_shard(self, rank: int, iteration: int) -> None:
         """Record that ``rank``'s shard for ``iteration`` has fully landed."""
         if not 0 <= rank < self.num_ranks:

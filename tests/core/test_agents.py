@@ -179,5 +179,5 @@ class TestSharedRootElection:
         assert len(result.recoveries) == 1
         assert system.leader_rank == 1
         assert len(store._watches) == 1
-        elections = {id(agent.election) for agent in system.root_agents.values()}
+        elections = {id(agent.election) for agent in system.policy.root_agents.values()}
         assert elections == {id(system.policy.root_election)}

@@ -34,11 +34,11 @@ CPU_CKPT_COUNTERS = ("repro_cpu_ckpt_commits_total", "repro_cpu_ckpt_bytes_total
 def oracle_commit(system, iteration, assume_healthy=()):
     """The per-slot commit loop (rank-major, six calls per pair)."""
     for rank in range(system.cluster.size):
-        for storer in system.placement.storers_of(rank):
+        for storer in system.policy.placement.storers_of(rank):
             machine = system.cluster.machine(storer)
             if not (machine.is_healthy or storer in assume_healthy):
                 continue
-            store = system.stores[storer]
+            store = system.policy.stores[storer]
             if not store.valid:
                 continue
             latest = store.latest_complete(rank)
@@ -50,7 +50,7 @@ def oracle_commit(system, iteration, assume_healthy=()):
 
 def oracle_settle(system, rollback):
     """The per-slot rollback settle."""
-    for store in system.stores.values():
+    for store in system.policy.stores.values():
         if not store.valid:
             continue
         for owner in store.hosted_ranks():
@@ -85,7 +85,7 @@ def slot_states(system):
                 for owner in store.hosted_ranks()
             ],
         )
-        for rank, store in system.stores.items()
+        for rank, store in system.policy.stores.items()
     }
 
 
@@ -126,24 +126,24 @@ def apply(op, bulk, oracle, state):
             return
         shard = bulk.spec.checkpoint_bytes_per_machine
         for system, hosted in (
-            (bulk, bulk.placement.hosted_by(rank)),
-            (oracle, oracle_hosted(oracle.placement, rank)),
+            (bulk, bulk.policy.placement.hosted_by(rank)),
+            (oracle, oracle_hosted(oracle.policy.placement, rank)),
         ):
             machine = system.cluster.replace(rank)
             store = CPUCheckpointStore(machine, obs=system.obs)
             for owner in hosted:
                 store.host_shard(owner, shard)
-            system.stores[rank] = store
+            system.policy.stores[rank] = store
     elif kind == "corrupt":
         for system in (bulk, oracle):
-            store = system.stores[rank]
+            store = system.policy.stores[rank]
             if store.valid:
                 hosted = store.hosted_ranks()
                 store.corrupt_shard(hosted[b % len(hosted)])
     elif kind == "rollback":
         # A write interrupted by the failure, then the recovery's settle.
         for system in (bulk, oracle):
-            store = system.stores[rank]
+            store = system.policy.stores[rank]
             if store.valid:
                 owner = store.hosted_ranks()[b % len(store.hosted_ranks())]
                 newest = max(state["iteration"], store.latest_complete(owner) or 0)

@@ -34,8 +34,8 @@ class TestHappyPath:
     def test_per_iteration_checkpoints_commit(self):
         system, result = run_scenario([], duration=10 * 63.0)
         for rank in range(16):
-            for storer in system.placement.storers_of(rank):
-                assert system.stores[storer].latest_complete(rank) == result.final_iteration
+            for storer in system.policy.placement.storers_of(rank):
+                assert system.policy.stores[storer].latest_complete(rank) == result.final_iteration
 
     def test_persistent_checkpoint_every_3h(self):
         _system, result = run_scenario([], duration=3.6 * HOUR)
@@ -45,7 +45,7 @@ class TestHappyPath:
         system, result = run_scenario(
             [], duration=20 * 63.0, checkpoint_interval_iterations=5
         )
-        committed = system.stores[0].latest_complete(0)
+        committed = system.policy.stores[0].latest_complete(0)
         assert committed % 5 == 0
 
 
@@ -117,9 +117,9 @@ class TestHardwareFailure:
         )
         machine = system.cluster.machine(3)
         assert machine.is_healthy
-        assert system.stores[3].valid
+        assert system.policy.stores[3].valid
         # The rejoined machine resumed committing checkpoints.
-        assert system.stores[3].latest_complete(3) == result.final_iteration
+        assert system.policy.stores[3].latest_complete(3) == result.final_iteration
 
     def test_cross_group_double_failure_stays_on_cpu_path(self):
         _system, result = run_scenario(

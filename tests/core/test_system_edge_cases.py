@@ -106,8 +106,8 @@ class TestLightweightMode:
             GPT2_100B, P4D_24XLARGE, 16,
             config=GeminiConfig(use_agents=False),
         )
-        assert not system.worker_agents
-        assert not system.root_agents
+        assert not system.policy.worker_agents
+        assert not system.policy.root_agents
         assert system.leader_rank is None
 
     def test_concurrent_detections_coalesce(self):

@@ -1,8 +1,8 @@
 """Regression tests for yield-point races surfaced by the RACE lint.
 
 Each test reproduces the hazardous interleaving with an injected
-failure: a hardware loss landing *inside* a persistent-upload window
-(plan/act split — RACE001/RACE003), a recovery coroutine dying
+failure: a hardware loss or a rollback landing *inside* a durable-tier
+upload window (plan/act split — RACE001/RACE003), a recovery coroutine dying
 mid-flight (torn guard-flag write — RACE004), and a policy retuning its
 persistent interval at runtime (stale cached interval — RACE001).
 """
@@ -11,8 +11,10 @@ import pytest
 
 from repro.cluster import P4D_24XLARGE
 from repro.baselines.system import BaselineSystem
+from repro.core.kernel import SimulatedTrainingSystem
 from repro.core.policy import GeminiConfig, GeminiPolicy
 from repro.core.system import GeminiSystem
+from repro.experiments import create_policy
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
 from repro.trace import TraceKind
 from repro.training import GPT2_100B
@@ -106,6 +108,66 @@ class TestTornUploadWindow:
         # Fix for the wedgeable flag: the gate is released even though
         # the upload never published, so later uploads can still start.
         assert system.policy._upload_in_flight is False
+
+    def test_tiercheck_ssd_upload_aborts_when_machine_dies_mid_write(self):
+        system, policy = _tiercheck()
+        window = _ssd_window(system, policy)
+        # First SSD tick at ssd_interval; kill a machine 30 s before publish.
+        end = policy.ssd_interval + window
+        TraceFailureInjector(
+            system.sim, system.cluster,
+            [FailureEvent(end - 30.0, FailureType.HARDWARE, [3])],
+            system.inject_failure,
+        )
+        system.run(end + 1.0)
+        [aborted] = system.trace.of_kind(TraceKind.SSD_ABORTED)
+        assert aborted.time == pytest.approx(end)
+        assert aborted.detail["iteration"] > 0
+        assert system.trace.of_kind(TraceKind.SSD_CHECKPOINT) == []
+        assert policy.ssd_checkpoints == 0
+        # Only the seed checkpoint (iteration 0) is in the pool.
+        assert policy.ssd.latest_complete() == 0
+
+    def test_rollback_behind_snapshot_abandons_upload(self):
+        # A replica group dies before the second SSD tick; the tick still
+        # snapshots the pre-failure iteration, and the recovery rolls back
+        # to the first SSD snapshot and resumes inside the write window.
+        # At the publish point every machine is healthy again and no
+        # recovery runs: only the rollback check can catch the tear.
+        system, policy = _tiercheck()
+        window = _ssd_window(system, policy)
+        second_tick = 2 * policy.ssd_interval + window
+        group = sorted(policy.placement.replica_sets[0])
+        TraceFailureInjector(
+            system.sim, system.cluster,
+            [FailureEvent(second_tick - 330.0, FailureType.HARDWARE, group)],
+            system.inject_failure,
+        )
+        result = system.run(second_tick + window + 1.0)
+        [first] = system.trace.of_kind(TraceKind.SSD_CHECKPOINT)
+        [aborted] = system.trace.of_kind(TraceKind.SSD_ABORTED)
+        [record] = result.recoveries
+        assert second_tick < record.resumed_at < aborted.time
+        assert record.rollback_iteration == first.detail["iteration"]
+        assert record.rollback_iteration < aborted.detail["iteration"]
+        assert system.upload_window_intact()
+        assert policy.ssd.latest_complete() == first.detail["iteration"]
+
+
+def _tiercheck():
+    policy = create_policy("tiercheck")
+    system = SimulatedTrainingSystem(
+        GPT2_100B, P4D_24XLARGE, 16, policy, seed=0, num_standby=4
+    )
+    return system, policy
+
+
+def _ssd_window(system, policy):
+    """Seconds from an SSD tick to its publish point."""
+    save = system.cost_model.serialization.save_time(
+        system.spec.checkpoint_bytes_per_machine
+    )
+    return save + policy.ssd.write_time(system.spec.checkpoint_bytes_total)
 
 
 class TestRecoveryCrashReleasesFlag:

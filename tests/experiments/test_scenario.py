@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import Scenario
+from repro.units import gbps
 
 
 def make(**overrides):
@@ -142,6 +143,22 @@ class TestExecution:
         assert options["use_agents"] is False
         explicit = make(policy_kwargs={"use_agents": True}).policy_options()
         assert explicit["use_agents"] is True
+
+    @pytest.mark.parametrize("policy", ["highfreq", "gemini"])
+    def test_persistent_bandwidth_reaches_the_store(self, policy):
+        # The policy's cadence and the kernel's PersistentStore must read
+        # the same pipe, or a highfreq cadence is sized for a faster store.
+        bandwidth = gbps(10)
+        system, _ = make(
+            policy=policy, policy_kwargs={"persistent_bandwidth": bandwidth}
+        ).build_system(0)
+        assert system.persistent.aggregate_bandwidth == bandwidth
+        if policy == "highfreq":
+            assert system.policy.persistent_bandwidth == bandwidth
+        else:
+            assert system.policy.config.persistent_bandwidth == bandwidth
+        default, _ = make(policy=policy).build_system(0)
+        assert default.persistent.aggregate_bandwidth == gbps(20)
 
 
 class TestCanonicalDigests:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_TRACER, Observability, Tracer, configure, span
+from repro.obs import NULL_TRACER, Observability, Tracer
 from repro.trace import TraceKind, TraceLog
 
 
@@ -90,24 +90,6 @@ class TestNullTracer:
 
 
 class TestModuleLevelDefault:
-    def test_default_is_disabled_noop(self):
-        with span("ignored"):
-            pass
-        from repro.obs import get_observability
-
-        assert not get_observability().enabled
-
-    def test_configure_installs_and_restores(self):
-        obs = configure()
-        try:
-            assert get_enabled() is True
-            with span("captured"):
-                pass
-            assert obs.tracer.spans[-1].name == "captured"
-        finally:
-            configure(enabled=False)
-        assert get_enabled() is False
-
     def test_observability_facade(self):
         obs = Observability()
         assert obs.enabled
@@ -117,8 +99,3 @@ class TestModuleLevelDefault:
         disabled = Observability.disabled()
         assert not disabled.enabled
 
-
-def get_enabled() -> bool:
-    from repro.obs import get_observability
-
-    return get_observability().enabled

@@ -1,8 +1,8 @@
-"""Resource, PriorityResource, and Store semantics."""
+"""Resource semantics."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @pytest.fixture
@@ -87,103 +87,3 @@ class TestResource:
         process = sim.process(worker())
         sim.run()
         assert process.value == 0
-
-
-class TestPriorityResource:
-    def test_lower_priority_number_wins(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        order = []
-
-        def worker(name, priority):
-            with resource.request(priority=priority) as request:
-                yield request
-                order.append(name)
-                yield sim.timeout(1)
-
-        def spawn_later():
-            holder = resource.request()
-            yield holder
-            yield sim.timeout(1)
-            sim.process(worker("low", 5))
-            sim.process(worker("high", 1))
-            yield sim.timeout(1)
-            holder.release()
-
-        sim.process(spawn_later())
-        sim.run()
-        assert order == ["high", "low"]
-
-    def test_fifo_within_same_priority(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        order = []
-
-        def worker(name):
-            with resource.request(priority=3) as request:
-                yield request
-                order.append(name)
-                yield sim.timeout(1)
-
-        for name in "xyz":
-            sim.process(worker(name))
-        sim.run()
-        assert order == list("xyz")
-
-
-class TestStore:
-    def test_put_get_fifo(self, sim):
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        got = []
-
-        def consumer():
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert got == ["a", "b"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        sim.process(consumer())
-        sim.call_at(4.0, lambda: store.put("late"))
-        sim.run()
-        assert got == [(4.0, "late")]
-
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield store.put("one")
-            times.append(sim.now)
-            yield store.put("two")
-            times.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(10)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert times == [0.0, 10.0]
-
-    def test_len_reports_buffered_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        sim.run()
-        assert len(store) == 2
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
