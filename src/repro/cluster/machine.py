@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.cluster.instances import InstanceType
 from repro.units import fmt_bytes
@@ -81,6 +81,12 @@ class Machine:
         replacement machine inherits it.
     """
 
+    #: called, in registration order, each time the machine goes down
+    #: (``mark_process_down`` or ``mark_failed``); GEMINI's agents listen
+    #: here.  ``None`` until the first listener, so machines of a run
+    #: without agents carry nothing.
+    _down_listeners: Optional[List[Callable[[], None]]] = None
+
     def __init__(
         self,
         machine_id: str,
@@ -119,6 +125,7 @@ class Machine:
         if self.state == MachineState.FAILED:
             raise RuntimeError(f"{self} is already hardware-failed")
         self.state = MachineState.PROCESS_DOWN
+        self._went_down()
 
     def mark_failed(self) -> None:
         """Hardware failure: machine (and its CPU memory contents) are lost."""
@@ -127,6 +134,23 @@ class Machine:
         self.cpu_memory_used = 0.0
         for gpu in self.gpus:
             gpu.used_bytes = 0.0
+        self._went_down()
+
+    def add_down_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` each time this machine goes down."""
+        if self._down_listeners is None:
+            self._down_listeners = []
+        self._down_listeners.append(listener)
+
+    def remove_down_listener(self, listener: Callable[[], None]) -> None:
+        """Stop calling ``listener`` (no-op if it is not registered)."""
+        if self._down_listeners and listener in self._down_listeners:
+            self._down_listeners.remove(listener)
+
+    def _went_down(self) -> None:
+        if self._down_listeners:
+            for listener in list(self._down_listeners):
+                listener()
 
     def restart_process(self) -> None:
         """Recover from a software failure in place.

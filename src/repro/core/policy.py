@@ -50,13 +50,11 @@ class GeminiConfig:
     #: True (the ``GeminiSystem`` default): every machine runs a worker
     #: agent (heartbeats under a TTL lease) and a root agent (health scans,
     #: a candidacy in the shared root election) over the KV store, so a
-    #: failure is detected when its lease expires (§3.2).  That costs two
-    #: timer events per machine per heartbeat interval plus a lease-expiry
-    #: callback per lease every other interval, and it turns macro-tick
-    #: coalescing off.  False: no agents; detection fires
-    #: ``cost_model.detection_delay`` after the failure and training
-    #: coalesces.  Sweeps, chaos campaigns and Monte Carlo runs default
-    #: to False.
+    #: failure is detected at the first leader scan after its lease
+    #: expires (§3.2).  Healthy heartbeats and empty scans are analytic,
+    #: so agents add events only around failures and leader changes.
+    #: False: no agents; detection fires ``cost_model.detection_delay``
+    #: after the failure.  Sweeps and chaos campaigns default to False.
     use_agents: bool = True
     #: replica placement: "mixed" (paper Algorithm 1, the default),
     #: "group", "ring", or "topology" (fault-domain-interleaved mixed —
@@ -75,6 +73,17 @@ class GeminiConfig:
         if self.persistent_interval <= 0:
             raise ValueError(
                 f"persistent_interval must be > 0, got {self.persistent_interval}"
+            )
+        if not self.heartbeat_interval > 0:
+            raise ValueError(
+                f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
+            )
+        if not self.lease_ttl > 2 * self.heartbeat_interval:
+            # Expiries order ahead of same-instant scans only under this
+            # bound (docs/paper_to_code.md, "Agent plane").
+            raise ValueError(
+                f"lease_ttl must exceed 2 x heartbeat_interval "
+                f"({2 * self.heartbeat_interval}), got {self.lease_ttl}"
             )
 
 
@@ -176,13 +185,10 @@ class GeminiPolicy(CheckpointPolicy):
         yield  # pragma: no cover - makes this a (empty) generator
 
     def coalesce_iterations(self, start: int) -> int:
-        # With agents on, every heartbeat/lease exchange is a real event
-        # the coalesced stretch would skip — keep full fidelity there.
-        # Otherwise on_iteration never yields and commit_checkpoint is
-        # exactly replayable, so offer the kernel's maximum; it re-plans
-        # at every window boundary anyway.
-        if self.config.use_agents:
-            return 0
+        # on_iteration never yields and commit_checkpoint is exactly
+        # replayable, so offer the kernel's maximum; it re-plans at every
+        # window boundary anyway.  Agents read no job state: a failure
+        # closes the window before any lease can lapse.
         return 4096
 
     def fast_forward(
@@ -198,10 +204,19 @@ class GeminiPolicy(CheckpointPolicy):
             for iteration in range(first, last + 1)
             if iteration % interval == 0
         ]
+        # Store slots are last-write-wins double buffers, so only the
+        # batch's final commit has to touch them; every earlier commit
+        # still records its trace/metric effects at its own boundary, and
+        # the stores count the writes it stands for.  A store the failure
+        # being replayed destroyed took every one of them, the last too.
+        if commits and self.kernel.obs.enabled:
+            every = [iteration for iteration, _at in commits]
+            for storer, store in self.stores.items():
+                if store.machine.is_healthy or storer in assume_healthy:
+                    store.count_replayed_commits(
+                        every[:-1] if store.valid else every
+                    )
         for index, (iteration, at) in enumerate(commits):
-            # Store slots are last-write-wins double buffers, so only the
-            # batch's final commit has to touch them; every earlier commit
-            # still records its trace/metric effects at its own boundary.
             self.commit_checkpoint(
                 iteration,
                 at=at,

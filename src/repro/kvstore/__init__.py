@@ -8,11 +8,12 @@ get/put/delete, compare-and-swap, TTL leases whose keys vanish on expiry,
 prefix watches, and lease-based leader election.
 """
 
-from repro.kvstore.store import KVStore, Lease, WatchEvent, WatchEventType
+from repro.kvstore.store import KeptLease, KVStore, Lease, WatchEvent, WatchEventType
 from repro.kvstore.election import Election
 
 __all__ = [
     "Election",
+    "KeptLease",
     "KVStore",
     "Lease",
     "WatchEvent",

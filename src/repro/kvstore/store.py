@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -93,6 +94,32 @@ class Lease:
     def __repr__(self) -> str:
         state = "alive" if self.alive else "ended"
         return f"<Lease {self.lease_id} ttl={self.ttl} {state}>"
+
+
+class KeptLease(Lease):
+    """A lease whose holder keeps it alive on a fixed beat.
+
+    A beat's refresh only moves ``expires_at`` one TTL past the beat, and
+    nothing reads it while beats keep coming, so none is materialized:
+    the lease is alive until the holder calls :meth:`lapse` with its last
+    beat, and then expires one TTL after that beat, exactly where the
+    refreshed lease would have.  No expiry callback is pending before
+    that.
+    """
+
+    def __init__(self, store: "KVStore", ttl: float):
+        if ttl <= 0:
+            raise ValueError(f"lease TTL must be > 0, got {ttl}")
+        self.lease_id = next(Lease._ids)
+        self.store = store
+        self.ttl = ttl
+        self.expires_at = math.inf
+        self.revoked = False
+
+    def lapse(self, last_beat: float) -> None:
+        """The holder stopped beating: expire one TTL after ``last_beat``."""
+        self.expires_at = last_beat + self.ttl
+        self._arm_expiry()
 
 
 class KVStore:

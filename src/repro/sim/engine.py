@@ -78,6 +78,11 @@ class Simulator:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: True while :meth:`run` or :meth:`run_until_event` is firing
+        #: events.  Between two ``run`` calls every event at ``now`` has
+        #: already fired; inside one, the current event may precede others
+        #: due at the same instant.
+        self.running = False
         self.events_processed: int = 0
         # Instrument handles are resolved once so the per-event cost when
         # observability is on is two attribute calls, and zero when off.
@@ -176,6 +181,7 @@ class Simulator:
         evt_counter = self._evt_counter
         depth_gauge = self._depth_gauge
         entry = self.events_processed
+        self.running = True
         try:
             with self._sanitize_factory():
                 while queue:
@@ -193,6 +199,7 @@ class Simulator:
         except StopSimulation as stop:
             return stop.value
         finally:
+            self.running = False
             _EVENTS_TALLY += self.events_processed - entry
         if until is not None:
             self.now = max(self.now, until)
@@ -204,13 +211,17 @@ class Simulator:
         ``limit`` bounds the simulated time; exceeding it raises
         :class:`SimulationError` — useful for catching deadlocked tests.
         """
-        with self._sanitize_factory():
-            while not event.triggered:
-                if not self._queue:
-                    raise SimulationError(f"queue drained before {event!r} triggered")
-                if limit is not None and self.peek() > limit:
-                    raise SimulationError(f"{event!r} not triggered by t={limit}")
-                self.step()
+        self.running = True
+        try:
+            with self._sanitize_factory():
+                while not event.triggered:
+                    if not self._queue:
+                        raise SimulationError(f"queue drained before {event!r} triggered")
+                    if limit is not None and self.peek() > limit:
+                        raise SimulationError(f"{event!r} not triggered by t={limit}")
+                    self.step()
+        finally:
+            self.running = False
         if event.ok:
             return event.value
         event._defuse()

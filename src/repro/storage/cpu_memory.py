@@ -15,7 +15,7 @@ hardware failure bumps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.machine import Machine
 
@@ -167,6 +167,22 @@ class CPUCheckpointStore:
             slot.completed_iteration = iteration
             if counting:
                 self._count_commit(slot.nbytes)
+
+    def count_replayed_commits(self, iterations: Sequence[int]) -> None:
+        """Count the commits a macro tick replays without writing them.
+
+        ``iterations`` ascend and precede the batch's final commit, whose
+        ``commit_all`` writes the slots.  Each slot counts one commit per
+        iteration newer than the one it holds, exactly as committing
+        every iteration would have.
+        """
+        if self._obs is None or not self._obs.enabled:
+            return
+        for slot in self._slots.values():
+            completed = slot.completed_iteration
+            for iteration in iterations:
+                if completed is None or iteration > completed:
+                    self._count_commit(slot.nbytes)
 
     def _count_commit(self, nbytes: float) -> None:
         metrics = self._obs.metrics

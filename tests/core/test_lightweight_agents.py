@@ -34,7 +34,10 @@ class TestLightweightAgents:
         assert light.effective_ratio == pytest.approx(full.effective_ratio, abs=0.02)
 
     def test_lightweight_mode_is_cheaper(self):
-        """No heartbeat events: the event count drops by orders of magnitude."""
+        """Healthy heartbeats are analytic, so a failure-free hour of agent
+        mode costs only each worker's first beat, the build-time election
+        and the new leader's first (empty) scan on top of lightweight
+        mode."""
         from repro.core.system import GeminiConfig, GeminiSystem
 
         def event_count(use_agents):
@@ -45,4 +48,4 @@ class TestLightweightAgents:
             system.run(3600.0)
             return system.sim._seq
 
-        assert event_count(False) * 10 < event_count(True)
+        assert event_count(True) == event_count(False) + 16 + 2

@@ -29,14 +29,22 @@ from repro.core.kernel import SimulatedTrainingSystem
 from repro.experiments import available_policies, create_policy
 from repro.failures import FailureEvent, FailureType, PoissonFailureInjector
 from repro.failures.injector import apply_failure
+from repro.obs import Observability
+from repro.obs.export import to_prometheus
 from repro.sim import RandomStreams, events_tally
 from repro.training import GPT2_100B
 from repro.units import DAY
 
-POLICIES = available_policies()
+#: plain ``gemini`` with its §3.2 agents on (the ``GeminiSystem``
+#: default); the four frontier policies reject agents.
+AGENT_MODE = "gemini+agents"
+POLICIES = (*available_policies(), AGENT_MODE)
 SEEDS = (0, 1, 2)
 HORIZON = 0.5 * DAY
 NUM_MACHINES = 16
+
+#: the DES's own event counters: a coalesced run fires fewer events.
+SIM_COUNTERS = ("repro_sim_events_processed_total", "repro_sim_queue_depth")
 
 DEGRADATIONS = {
     "none": (),
@@ -51,9 +59,12 @@ DEGRADATIONS = {
 }
 
 
-def run_once(name, seed, *, macro_ticks, degradations=()):
+def run_once(name, seed, *, macro_ticks, degradations=(), obs=None):
     """One failure/recovery run; returns (system, result)."""
-    policy = create_policy(name, use_agents=False)
+    if name == AGENT_MODE:
+        policy = create_policy("gemini", use_agents=True)
+    else:
+        policy = create_policy(name, use_agents=False)
     system = SimulatedTrainingSystem(
         GPT2_100B,
         P4D_24XLARGE,
@@ -62,6 +73,7 @@ def run_once(name, seed, *, macro_ticks, degradations=()):
         seed=seed,
         num_standby=2,
         macro_ticks=macro_ticks,
+        obs=obs,
     )
     rng = RandomStreams(seed)
     PoissonFailureInjector(
@@ -109,6 +121,24 @@ def test_macro_ticks_bit_exact_under_degradations(name, mix):
         *run_once(name, 0, macro_ticks=False, degradations=degradations)
     )
     assert fast == slow
+
+
+@pytest.mark.parametrize("name", ["gemini", AGENT_MODE])
+def test_macro_ticks_metrics_match_per_iteration(name):
+    """Exported metrics agree too, CPU-memory commit counters included (a
+    macro tick counts the store writes its replayed commits stand for);
+    only the DES's own event counters differ."""
+
+    def exported(macro_ticks):
+        obs = Observability()
+        run_once(name, 0, macro_ticks=macro_ticks, obs=obs)
+        return [
+            line
+            for line in to_prometheus(obs.metrics).splitlines()
+            if not line.startswith(SIM_COUNTERS)
+        ]
+
+    assert exported(True) == exported(False)
 
 
 def test_events_accounting_documented_consistent_under_coalescing():

@@ -188,6 +188,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeminiConfig(persistent_interval=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            # 0 used to build and then never finish run(): every beat
+            # re-armed a zero-delay timer
+            ({"heartbeat_interval": 0}, "heartbeat_interval"),
+            # negative used to fail only at run time ("negative timeout")
+            ({"heartbeat_interval": -5.0}, "heartbeat_interval"),
+            # outside lease_ttl > 2 x heartbeat, which the same-instant
+            # expiry-before-scan order rests on
+            ({"lease_ttl": 8.0, "heartbeat_interval": 5.0}, "lease_ttl"),
+            ({"lease_ttl": 10.0}, "lease_ttl"),
+        ],
+    )
+    def test_invalid_detection_settings(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            GeminiConfig(**kwargs)
+
+    def test_detection_settings_on_the_bound(self):
+        GeminiConfig(lease_ttl=10.5, heartbeat_interval=5.0)
+        GeminiConfig(lease_ttl=3.0, heartbeat_interval=1.0)
+
     def test_invalid_duration(self):
         system = GeminiSystem(GPT2_100B, P4D_24XLARGE, 8)
         with pytest.raises(ValueError):

@@ -205,7 +205,8 @@ class TestRecoveryCrashReleasesFlag:
 
         # The sim resumes: the second failure must start a *fresh*
         # recovery through the real policy, and training must advance.
-        system.sim.run(until=9000.0)
+        # system.run settles the open macro window before reporting.
+        system.run(9000.0 - system.sim.now)
         assert state["calls"] == 2
         assert len(system.recoveries) == 1
         assert system.committed_iteration > frozen_at + 10

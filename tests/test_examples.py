@@ -55,8 +55,10 @@ class TestExamples:
         assert "wasted-time accounting" in out
 
     @pytest.mark.slow
-    def test_week_of_failures_short(self):
-        out = run_example("week_of_failures.py", "0.5", timeout=400)
+    def test_week_of_failures_default(self):
+        """The documented default: seven days, no argument."""
+        out = run_example("week_of_failures.py")
+        assert "32 machines, 7 days" in out
         assert "A week of failures" in out
 
     @pytest.mark.slow
