@@ -21,13 +21,15 @@ There is also **whole** — ship the entire shard as one GPU-resident blob
 
 :class:`InterferenceExperiment` wires a scheme into the DES training loop
 on a representative machine pair and measures iteration times, checkpoint
-completion, and residual network idle time.
+completion, and residual network idle time.  :class:`SchemeRuns` lets
+several figures read one set of runs: each distinct warm-up profile and
+each distinct measured run is simulated once per table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.instances import InstanceType
 from repro.core.checkpoint import ChunkPipeline, LocalCopyScheduler
@@ -378,9 +380,17 @@ class InterferenceExperiment:
 
     # -- running --------------------------------------------------------------------
 
-    def run(self, num_iterations: int = 10) -> InterferenceResult:
-        """Profile, build the scheme, and measure ``num_iterations``."""
-        profile = self._profile()
+    def run(
+        self, num_iterations: int = 10, profile: Optional[IdleProfile] = None
+    ) -> InterferenceResult:
+        """Profile, build the scheme, and measure ``num_iterations``.
+
+        ``profile`` is this workload's warm-up profile when the caller
+        already has it (see :class:`SchemeRuns`); by default it is
+        measured here.
+        """
+        if profile is None:
+            profile = self._profile()
         required = self.required_buffer_bytes(profile)
         result = InterferenceResult(
             scheme=self.scheme_name,
@@ -485,6 +495,48 @@ class InterferenceExperiment:
         if self.scheme_name == "no_pipeline":
             return NoPipelineScheme(self, plan)
         return GeminiScheme(self, plan)
+
+
+class SchemeRuns:
+    """Shares warm-up profiles and measured runs for the table's lifetime.
+
+    The warm-up profile runs without checkpointing, so it depends only on
+    the workload (model, instance, machine count, warm-up length): every
+    scheme of a workload schedules into the same profile, as GEMINI
+    profiles once (Section 5.4).  A measured run depends on that plus the
+    scheme and its iteration count.  Both are deterministic, so the
+    table hands back the very ``IdleProfile`` and ``InterferenceResult`` a
+    fresh :func:`run_scheme` call would compute.  Make one table per
+    report; nothing is kept past the table itself.
+    """
+
+    def __init__(self) -> None:
+        self._profiles: Dict[Tuple, IdleProfile] = {}
+        self._results: Dict[Tuple, InterferenceResult] = {}
+
+    def run(
+        self,
+        model: ModelConfig,
+        instance: InstanceType,
+        num_machines: int,
+        scheme: str,
+        num_iterations: int = 10,
+        warmup_iterations: int = 20,
+    ) -> InterferenceResult:
+        """``run_scheme`` with its defaults, simulated once per table."""
+        workload = (model, instance, num_machines, warmup_iterations)
+        key = workload + (scheme, num_iterations)
+        result = self._results.get(key)
+        if result is None:
+            experiment = InterferenceExperiment(
+                model, instance, num_machines, scheme=scheme,
+                warmup_iterations=warmup_iterations,
+            )
+            profile = self._profiles.get(workload)
+            if profile is None:
+                profile = self._profiles[workload] = experiment._profile()
+            result = self._results[key] = experiment.run(num_iterations, profile)
+        return result
 
 
 def run_scheme(

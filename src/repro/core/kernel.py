@@ -587,7 +587,7 @@ class SimulatedTrainingSystem:
                 ranks=list(event.ranks),
             )
         self.policy.on_failure(event)
-        if self._training_abort is not None and not self._training_abort.triggered:
+        if self._training_abort is not None and not self._training_abort._resolved:
             self._training_abort.succeed(event)
         self.policy.after_failure(event)
         for listener in self._listeners:

@@ -16,7 +16,7 @@ from repro.cluster.instances import (
     P3DN_24XLARGE,
     P4D_24XLARGE,
 )
-from repro.core.interleave import run_scheme
+from repro.core.interleave import SchemeRuns
 from repro.core.probability import (
     recovery_probability,
     ring_recovery_probability_union_bound,
@@ -108,16 +108,17 @@ def _throughput_rows(
     num_machines: int,
     num_iterations: int,
     warmup_iterations: int,
+    runs: Optional[SchemeRuns],
 ) -> List[Dict[str, Any]]:
+    if runs is None:
+        runs = SchemeRuns()
     rows = []
     for model in models:
-        baseline = run_scheme(
-            model, instance, num_machines, "baseline",
-            num_iterations=num_iterations, warmup_iterations=warmup_iterations,
+        baseline = runs.run(
+            model, instance, num_machines, "baseline", num_iterations, warmup_iterations
         )
-        gemini = run_scheme(
-            model, instance, num_machines, "gemini",
-            num_iterations=num_iterations, warmup_iterations=warmup_iterations,
+        gemini = runs.run(
+            model, instance, num_machines, "gemini", num_iterations, warmup_iterations
         )
         rows.append(
             {
@@ -134,29 +135,39 @@ def _throughput_rows(
 
 
 def fig07_iteration_time(
-    num_iterations: int = 10, warmup_iterations: int = 20
+    num_iterations: int = 10,
+    warmup_iterations: int = 20,
+    runs: Optional[SchemeRuns] = None,
 ) -> List[Dict[str, Any]]:
-    """Figure 7: iteration time of the 100B models, 16 p4d, +-GEMINI."""
+    """Figure 7: iteration time of the 100B models, 16 p4d, +-GEMINI.
+
+    ``runs`` shares simulations with other figures (Figure 8 reads the
+    same runs); by default the call makes its own table.
+    """
     return _throughput_rows(
-        MODELS_100B, P4D_24XLARGE, 16, num_iterations, warmup_iterations
+        MODELS_100B, P4D_24XLARGE, 16, num_iterations, warmup_iterations, runs
     )
 
 
 def fig08_network_idle_time(
-    num_iterations: int = 10, warmup_iterations: int = 20
+    num_iterations: int = 10,
+    warmup_iterations: int = 20,
+    runs: Optional[SchemeRuns] = None,
 ) -> List[Dict[str, Any]]:
     """Figure 8: idle time w/o ckpt, GEMINI ckpt time, residual idle time."""
     return _throughput_rows(
-        MODELS_100B, P4D_24XLARGE, 16, num_iterations, warmup_iterations
+        MODELS_100B, P4D_24XLARGE, 16, num_iterations, warmup_iterations, runs
     )
 
 
 def fig13_p3dn_generalization(
-    num_iterations: int = 5, warmup_iterations: int = 10
+    num_iterations: int = 5,
+    warmup_iterations: int = 10,
+    runs: Optional[SchemeRuns] = None,
 ) -> List[Dict[str, Any]]:
     """Figure 13: the same measurements on 16 p3dn for 10B-40B models."""
     return _throughput_rows(
-        MODELS_P3DN, P3DN_24XLARGE, 16, num_iterations, warmup_iterations
+        MODELS_P3DN, P3DN_24XLARGE, 16, num_iterations, warmup_iterations, runs
     )
 
 
@@ -466,13 +477,19 @@ def fig16_interleaving_schemes(
     num_machines: int = 16,
     num_iterations: int = 5,
     warmup_iterations: int = 10,
+    runs: Optional[SchemeRuns] = None,
 ) -> List[Dict[str, Any]]:
-    """Figure 16: iteration time under the five interleaving schemes."""
+    """Figure 16: iteration time under the five interleaving schemes.
+
+    Its baseline and gemini runs are Figure 13's GPT-2 40B runs when both
+    read one ``runs`` table at the same iteration counts.
+    """
+    if runs is None:
+        runs = SchemeRuns()
     rows = []
     for scheme in ("baseline", "blocking", "naive", "no_pipeline", "gemini"):
-        result = run_scheme(
-            model, instance, num_machines, scheme,
-            num_iterations=num_iterations, warmup_iterations=warmup_iterations,
+        result = runs.run(
+            model, instance, num_machines, scheme, num_iterations, warmup_iterations
         )
         rows.append(
             {

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
+from repro.core.interleave import SchemeRuns
 from repro.harness import figures as fig
 from repro.harness.format import render_table
 
@@ -64,43 +65,51 @@ def _fig14_rows():
     ]
 
 
-#: DES-backed sections (seconds each); included with include_des=True.
+#: DES-backed sections, included with include_des=True.  Each builder
+#: takes the report's one :class:`SchemeRuns` table: Figure 8 reads
+#: Figure 7's runs, and Figure 16's baseline and gemini are Figure 13's
+#: GPT-2 40B runs.
 DES_SECTIONS: Sequence = (
     ("fig7", "Figure 7: iteration time, 100B models",
-     lambda: fig.fig07_iteration_time(5, 10),
+     lambda runs: fig.fig07_iteration_time(5, 10, runs),
      "Paper: ~62 s/iteration, unchanged by GEMINI."),
     ("fig8", "Figure 8: network idle time",
-     lambda: fig.fig08_network_idle_time(5, 10),
+     lambda runs: fig.fig08_network_idle_time(5, 10, runs),
      "Paper: ~12.5 s idle absorbs the <3 s checkpoint traffic."),
     ("fig13", "Figure 13: p3dn generalization",
-     lambda: fig.fig13_p3dn_generalization(3, 6),
+     lambda runs: fig.fig13_p3dn_generalization(3, 6, runs),
      "Paper: same conclusions at 100 Gbps with 10-40B models."),
     ("fig14", "Figure 14: recovery timelines (software / hardware / +standby)",
-     _fig14_rows,
+     lambda runs: _fig14_rows(),
      "Paper: detect 15 s, serialize 162 s, replace 4-7 min, warm-up >4 min; "
      "~7 min software, ~12 min hardware."),
     ("fig16", "Figure 16: interleaving schemes",
-     lambda: fig.fig16_interleaving_schemes(num_iterations=3, warmup_iterations=6),
+     lambda runs: fig.fig16_interleaving_schemes(
+         num_iterations=3, warmup_iterations=6, runs=runs
+     ),
      "Paper: Blocking +10.1%, Naive OOM, GEMINI = baseline."),
     ("fig_frontier", "Frontier: GEMINI vs. Checkmate / TierCheck / Sparse-MoE / REFT",
-     fig.fig_frontier,
+     lambda runs: fig.fig_frontier(),
      "Extension: same kernel, fixed-delay detection; Checkmate's bound "
      "shows up as the lowest expected loss per failure."),
 )
 
 
 def build_report(include_des: bool = False) -> List[ReportSection]:
-    """Run the experiments and collect the sections."""
-    sections: List[ReportSection] = []
-    planned = list(FAST_SECTIONS) + (list(DES_SECTIONS) if include_des else [])
-    for section_id, title, build, notes in planned:
-        sections.append(
-            ReportSection(
-                section_id=section_id,
-                title=title,
-                rows=build(),
-                paper_notes=notes,
-            )
+    """Run the experiments and collect the sections.
+
+    The DES sections share one :class:`SchemeRuns` table made for this
+    call, so each distinct interleave run is simulated once per report.
+    """
+    sections = [
+        ReportSection(section_id, title, build(), notes)
+        for section_id, title, build, notes in FAST_SECTIONS
+    ]
+    if include_des:
+        runs = SchemeRuns()
+        sections.extend(
+            ReportSection(section_id, title, build(runs), notes)
+            for section_id, title, build, notes in DES_SECTIONS
         )
     return sections
 

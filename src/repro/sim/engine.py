@@ -23,15 +23,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 _URGENT = 0
 _NORMAL = 1
 
-# Process-wide tally of events fired by completed ``Simulator.run()``
-# calls.  Purely observational: telemetry (``repro.obs.fleet``) reads
-# deltas around a scenario to report sim-events throughput without
-# touching the result path.  Never read by simulation code.
+# Process-wide tally of events fired by ``Simulator.run()`` and
+# ``Simulator.run_until_event()`` calls.  Purely observational: telemetry
+# (``repro.obs.fleet``) reads deltas around a scenario to report
+# sim-events throughput without touching the result path.  Never read by
+# simulation code.
 _EVENTS_TALLY = 0
 
 
 def events_tally() -> int:
-    """Events fired by every ``Simulator.run()`` in this process so far."""
+    """Events fired by every ``run``/``run_until_event`` in this process so far."""
     return _EVENTS_TALLY
 
 
@@ -211,17 +212,33 @@ class Simulator:
         ``limit`` bounds the simulated time; exceeding it raises
         :class:`SimulationError` — useful for catching deadlocked tests.
         """
+        # The same hoisted loop as run(), so its events reach the tally too.
+        global _EVENTS_TALLY
+        queue = self._queue
+        pop = heapq.heappop
+        evt_counter = self._evt_counter
+        depth_gauge = self._depth_gauge
+        entry = self.events_processed
         self.running = True
         try:
             with self._sanitize_factory():
                 while not event.triggered:
-                    if not self._queue:
+                    if not queue:
                         raise SimulationError(f"queue drained before {event!r} triggered")
-                    if limit is not None and self.peek() > limit:
+                    if limit is not None and queue[0][0] > limit:
                         raise SimulationError(f"{event!r} not triggered by t={limit}")
-                    self.step()
+                    time, _lane, _seq, fired = pop(queue)
+                    if time < self.now:
+                        raise SimulationError("event queue corrupted: time went backwards")
+                    self.now = time
+                    self.events_processed += 1
+                    if evt_counter is not None and depth_gauge is not None:
+                        evt_counter.inc()
+                        depth_gauge.set(len(queue))
+                    fired._run_callbacks()
         finally:
             self.running = False
+            _EVENTS_TALLY += self.events_processed - entry
         if event.ok:
             return event.value
         event._defuse()

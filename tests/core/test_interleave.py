@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import P3DN_24XLARGE
-from repro.core.interleave import InterferenceExperiment, run_scheme
+from repro.core.interleave import InterferenceExperiment, SchemeRuns, run_scheme
 from repro.training import GPT2_40B
 
 # Module-scoped results: each scheme simulated once, asserted many times.
@@ -118,3 +118,38 @@ class TestExperimentConfig:
         )
         assert not result.oom
         assert result.iteration_times
+
+
+class TestSchemeRuns:
+    """One table simulates each distinct profile and run once, exactly."""
+
+    def test_repeated_run_is_the_same_result(self):
+        runs = SchemeRuns()
+        first = runs.run(GPT2_40B, P3DN_24XLARGE, 16, "gemini", 2, 3)
+        assert runs.run(GPT2_40B, P3DN_24XLARGE, 16, "gemini", 2, 3) is first
+        assert runs.run(GPT2_40B, P3DN_24XLARGE, 16, "gemini", 3, 3) is not first
+
+    def test_schemes_of_one_workload_share_its_profile(self):
+        runs = SchemeRuns()
+        baseline = runs.run(GPT2_40B, P3DN_24XLARGE, 16, "baseline", 2, 3)
+        gemini = runs.run(GPT2_40B, P3DN_24XLARGE, 16, "gemini", 2, 3)
+        longer_warmup = runs.run(GPT2_40B, P3DN_24XLARGE, 16, "gemini", 2, 4)
+        assert gemini.profile is baseline.profile
+        assert longer_warmup.profile is not baseline.profile
+
+    def test_shared_profile_gives_the_one_shot_result(self):
+        runs = SchemeRuns()
+        runs.run(GPT2_40B, P3DN_24XLARGE, 16, "baseline", 2, 3)
+        for scheme in ("no_pipeline", "naive"):
+            shared = runs.run(GPT2_40B, P3DN_24XLARGE, 16, scheme, 2, 3)
+            fresh = run_scheme(
+                GPT2_40B, P3DN_24XLARGE, 16, scheme,
+                num_iterations=2, warmup_iterations=3,
+            )
+            assert shared == fresh
+
+    def test_tables_share_nothing(self):
+        first = SchemeRuns().run(GPT2_40B, P3DN_24XLARGE, 16, "baseline", 2, 3)
+        second = SchemeRuns().run(GPT2_40B, P3DN_24XLARGE, 16, "baseline", 2, 3)
+        assert first is not second
+        assert first.profile is not second.profile

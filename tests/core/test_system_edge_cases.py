@@ -2,6 +2,8 @@
 
 import gc
 
+import pytest
+
 from repro.cluster import Machine, P4D_24XLARGE
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
@@ -128,6 +130,35 @@ class TestLightweightMode:
         # recovery's re-plan loop rather than racing it.
         assert all(machine.is_healthy for machine in system.cluster)
         assert result.final_iteration > 20
+
+
+class TestSimultaneousFailures:
+    @pytest.mark.parametrize("use_agents", [True, False])
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (FailureType.SOFTWARE, FailureType.SOFTWARE),
+            (FailureType.HARDWARE, FailureType.SOFTWARE),
+            (FailureType.HARDWARE, FailureType.HARDWARE),
+        ],
+    )
+    def test_two_failures_at_one_instant_share_one_recovery(
+        self, first, second, use_agents
+    ):
+        """The first failure schedules the training abort; the second,
+        delivered at the same instant, must not try to trigger it again."""
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 16, config=GeminiConfig(use_agents=use_agents)
+        )
+        TraceFailureInjector(
+            system.sim, system.cluster,
+            [FailureEvent(1000.0, first, [3]), FailureEvent(1000.0, second, [8])],
+            system.inject_failure,
+        )
+        result = system.run(2 * HOUR)
+        (record,) = result.recoveries
+        assert sorted(record.failed_ranks) == [3, 8]
+        assert all(machine.is_healthy for machine in system.cluster)
 
 
 class TestClockTypes:

@@ -1,18 +1,46 @@
 """Programmatic reproduction report."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.harness.figures import fig08_network_idle_time, fig16_interleaving_schemes
 from repro.harness.report import (
     build_report,
     render_markdown,
     render_text,
     write_markdown_report,
 )
+from repro.sim import events_tally
+
+#: sha256 of the DES report's canonical JSON; any change to a row moves it.
+DES_REPORT_SHA256 = "d448f55cee8a2be108e8ff622fe469e605222dcf714f293e2fcce48501dc950d"
+
+#: DES events one report fires when each distinct interleave run and
+#: warm-up profile is simulated once.
+DES_REPORT_MAX_EVENTS = 127_202
 
 
 @pytest.fixture(scope="module")
 def sections():
     return build_report(include_des=False)
+
+
+@pytest.fixture(scope="module")
+def des_reports():
+    """Two back-to-back DES reports and the events each one fired."""
+    built = []
+    for _ in range(2):
+        before = events_tally()
+        report = build_report(include_des=True)
+        built.append((report, events_tally() - before))
+    return built
+
+
+def _rows(report, section_id):
+    (section,) = [s for s in report if s.section_id == section_id]
+    return section.rows
 
 
 class TestBuildReport:
@@ -28,11 +56,30 @@ class TestBuildReport:
             assert section.rows, section.section_id
             assert section.paper_notes
 
-    def test_des_sections_appended_on_request(self):
-        sections = build_report(include_des=True)
+    def test_des_sections_appended_on_request(self, des_reports):
+        sections, _ = des_reports[0]
         ids = [section.section_id for section in sections]
         for section_id in ("fig7", "fig8", "fig13", "fig16"):
             assert section_id in ids
+
+    def test_des_report_is_pinned(self, des_reports):
+        sections, _ = des_reports[0]
+        payload = [[s.section_id, s.title, s.rows] for s in sections]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DES_REPORT_SHA256
+
+    def test_shared_runs_match_standalone_figures(self, des_reports):
+        sections, _ = des_reports[0]
+        assert fig08_network_idle_time(5, 10) == _rows(sections, "fig8")
+        assert fig16_interleaving_schemes(
+            num_iterations=3, warmup_iterations=6
+        ) == _rows(sections, "fig16")
+
+    def test_no_run_is_shared_across_reports(self, des_reports):
+        (first, first_events), (second, second_events) = des_reports
+        assert first_events == second_events
+        assert 0 < first_events <= DES_REPORT_MAX_EVENTS
+        assert [s.rows for s in first] == [s.rows for s in second]
 
 
 class TestRendering:

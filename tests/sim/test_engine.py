@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import Simulator, SimulationError, events_tally
 
 
 @pytest.fixture
@@ -141,6 +141,26 @@ class TestRun:
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.run_until_event(event)
+
+    def test_run_until_event_adds_to_the_tally(self, sim):
+        event = sim.event()
+        for delay in (1.0, 2.0, 3.0):
+            sim.timeout(delay)
+        sim.call_at(2.0, lambda: event.succeed("v"))
+        tally, processed = events_tally(), sim.events_processed
+        assert sim.run_until_event(event) == "v"
+        assert sim.events_processed - processed == 4
+        assert events_tally() - tally == 4
+
+    def test_run_until_event_adds_to_the_tally_when_it_hits_the_limit(self, sim):
+        event = sim.event()  # never fires
+        for delay in (10.0, 20.0, 100.0):
+            sim.timeout(delay)
+        tally, processed = events_tally(), sim.events_processed
+        with pytest.raises(SimulationError):
+            sim.run_until_event(event, limit=50)
+        assert sim.events_processed - processed == 2
+        assert events_tally() - tally == 2
 
 
 class TestDeterminism:
