@@ -93,20 +93,48 @@ class _MacroWindow:
     ``boundaries[i]`` is the completion time of iteration ``first + i``,
     computed by repeated addition of the scaled iteration time — the
     bit-identical float sequence the per-iteration timeouts would have
-    produced.  Boundaries are applied lazily by
-    :meth:`SimulatedTrainingSystem.settle_iterations`; ``applied`` counts
-    how many already ran.  ``token`` invalidates an in-flight wake
+    produced.  For a policy with a ``gradient_phase_fraction``,
+    ``gradients[i]`` is that iteration's gradient point, built in the same
+    chain as :meth:`SimulatedTrainingSystem._split_iteration`'s two
+    timeouts; otherwise ``gradients`` is ``None``.  Both are applied
+    lazily by :meth:`SimulatedTrainingSystem.settle_iterations`:
+    ``applied`` counts the boundaries already passed and ``replayed`` the
+    hook points (gradient points, else boundaries) already replayed
+    through ``fast_forward``.  ``token`` invalidates an in-flight wake
     callback when the window is truncated or closed.
     """
 
-    __slots__ = ("first", "boundaries", "applied", "done", "token")
+    __slots__ = (
+        "first", "boundaries", "gradients", "applied", "replayed", "done", "token",
+    )
 
-    def __init__(self, first: int, boundaries: List[float], done: Event):
+    def __init__(
+        self,
+        first: int,
+        boundaries: List[float],
+        gradients: Optional[List[float]],
+        done: Event,
+    ):
         self.first = first
         self.boundaries = boundaries
+        self.gradients = gradients
         self.applied = 0
+        self.replayed = 0
         self.done = done
         self.token = 0
+
+
+def _passed(times: List[float], start: int, now: float, strict: bool) -> int:
+    """Index past the last of ``times[start:]`` before ``now`` (``<=`` when
+    not ``strict``)."""
+    end = start
+    if strict:
+        while end < len(times) and times[end] < now:
+            end += 1
+    else:
+        while end < len(times) and times[end] <= now:
+            end += 1
+    return end
 
 
 class KernelListener:
@@ -164,9 +192,9 @@ class CheckpointPolicy(abc.ABC):
     #: complete; the kernel then splits the per-iteration timeout at that
     #: point and runs :meth:`on_gradient_phase` there.  ``None`` (the
     #: default) keeps the single-timeout float sequence bit-identical for
-    #: existing policies.  A policy that sets this must keep
-    #: :meth:`coalesce_iterations` at 0 — the mid-iteration hook is a
-    #: real event a macro window would skip.
+    #: existing policies.  Such a policy may still coalesce: a macro
+    #: window carries each iteration's gradient point next to its end and
+    #: replays the gradient points through :meth:`fast_forward`.
     gradient_phase_fraction: Optional[float] = None
 
     kernel: "SimulatedTrainingSystem"
@@ -204,7 +232,9 @@ class CheckpointPolicy(abc.ABC):
         window boundary, and any failure, degradation, or
         ``iteration_scale`` change closes or truncates the open window —
         so returning a large number is safe whenever the two conditions
-        hold on the failure-free path.
+        hold on the failure-free path.  When :attr:`gradient_phase_fraction`
+        is set, the same two conditions apply to :meth:`on_gradient_phase`
+        instead, and :meth:`on_iteration` must have no effects at all.
         """
         return 0
 
@@ -220,6 +250,10 @@ class CheckpointPolicy(abc.ABC):
         ``boundary_times[i]`` is the completion time of ``first + i`` —
         the exact floats the per-iteration timeouts would have used; any
         recorded trace/metric timestamps must use them, not ``sim.now``.
+        When :attr:`gradient_phase_fraction` is set, ``boundary_times``
+        are the iterations' gradient points instead, and this replays
+        :meth:`on_gradient_phase`; :meth:`on_iteration` must then be
+        effect-free, since nothing replays it.
         ``assume_healthy`` lists ranks whose machines must be treated as
         healthy even though they are already marked down: failure
         injectors apply cluster damage *before* handing the event to the
@@ -477,27 +511,28 @@ class SimulatedTrainingSystem:
         the observer's earlier-scheduled event pops first);
         ``strict=False`` also applies a boundary exactly at ``now`` (the
         window-end wake and the run-end clamp, where the per-iteration
-        timeout would have fired).
+        timeout would have fired).  Gradient points follow the same rule:
+        the passed ones are replayed through ``fast_forward``, while
+        ``current_iteration`` follows the boundaries.
         """
         window = self._macro_window
         if window is None or self._settling:
             return
         now = self.sim.now
-        boundaries = window.boundaries
-        end = window.applied
-        if strict:
-            while end < len(boundaries) and boundaries[end] < now:
-                end += 1
+        end = _passed(window.boundaries, window.applied, now, strict)
+        points = window.gradients
+        if points is None:
+            points, hook_end = window.boundaries, end
         else:
-            while end < len(boundaries) and boundaries[end] <= now:
-                end += 1
-        if end == window.applied:
-            return
-        first = window.first + window.applied
-        last = window.first + end - 1
-        batch = boundaries[window.applied:end]
+            hook_end = _passed(points, window.replayed, now, strict)
         window.applied = end
         self.current_iteration = window.first + end
+        if hook_end == window.replayed:
+            return
+        first = window.first + window.replayed
+        last = window.first + hook_end - 1
+        batch = points[window.replayed:hook_end]
+        window.replayed = hook_end
         self._settling = True
         try:
             self.policy.fast_forward(
@@ -511,8 +546,9 @@ class SimulatedTrainingSystem:
 
         Degradations make further coalescing illegal: the window keeps
         only the one boundary already in flight (its completion time is
-        unchanged — exactly the pending per-iteration timeout), and the
-        controller re-asks the policy afterwards.
+        unchanged — exactly the pending per-iteration timeout) and that
+        iteration's gradient point, and the controller re-asks the policy
+        afterwards.
         """
         window = self._macro_window
         if window is None:
@@ -520,6 +556,8 @@ class SimulatedTrainingSystem:
         keep = window.applied + 1
         if keep < len(window.boundaries):
             del window.boundaries[keep:]
+            if window.gradients is not None:
+                del window.gradients[keep:]
             window.token += 1
             self._schedule_macro_wake(window)
 
@@ -547,12 +585,14 @@ class SimulatedTrainingSystem:
         """Discard an open window's unapplied tail (failure intake path).
 
         The stale wake keeps the window object alive until the old end
-        time, so the tail's boundary floats are released here.
+        time, so the tail's boundary and gradient floats are released here.
         """
         window = self._macro_window
         if window is not None:
             window.token += 1
             del window.boundaries[window.applied:]
+            if window.gradients is not None:
+                del window.gradients[window.replayed:]
             self._macro_window = None
 
     # ------------------------------------------------------------- failure intake
@@ -661,27 +701,40 @@ class SimulatedTrainingSystem:
                 )
             self._training_abort = self.sim.event(name="training-abort")
             abort = self._training_abort
+            fraction = self.policy.gradient_phase_fraction
             if count > 1:
                 # Macro tick: advance `count` iterations as one event.
                 # Boundary times are built by repeated addition so they
                 # are bit-identical to the per-iteration timeout chain
-                # (t0 + k*step is NOT, by float non-associativity).
+                # (t0 + k*step is NOT, by float non-associativity); with a
+                # gradient phase, by _split_iteration's two-timeout chain.
                 step = self.iteration_time * self._iteration_scale
                 t = self.sim.now
                 boundaries = []
-                for _ in range(count):
-                    t = t + step
-                    boundaries.append(t)
+                gradients: Optional[List[float]] = None
+                if fraction is None:
+                    for _ in range(count):
+                        t = t + step
+                        boundaries.append(t)
+                else:
+                    head = step * fraction
+                    tail = step - head
+                    gradients = []
+                    for _ in range(count):
+                        g = t + head
+                        t = g + tail
+                        gradients.append(g)
+                        boundaries.append(t)
                 window = _MacroWindow(
                     self.current_iteration,
                     boundaries,
+                    gradients,
                     self.sim.event(name="macro-window"),
                 )
                 self._macro_window = window
                 self._schedule_macro_wake(window)
                 done: Event = window.done
             else:
-                fraction = self.policy.gradient_phase_fraction
                 if fraction is None:
                     done = self.sim.timeout(self.iteration_time * self.iteration_scale)
                 else:
@@ -718,22 +771,24 @@ class SimulatedTrainingSystem:
         ``gradient_phase_fraction``: the head timeout ends at the
         gradient-sync boundary, where ``on_gradient_phase`` runs; the
         tail covers the optimizer step.  ``abort`` is the training-abort
-        event captured at spawn — once it fires, this iteration is dead
-        and the process exits without completing ``done`` (the controller
-        is already parked on recovery, and a fresh process re-runs the
-        iteration afterwards).
+        event captured at spawn — once a failure has scheduled it, this
+        iteration is dead and the process exits without completing
+        ``done`` (the controller is already parked on recovery, and a
+        fresh process re-runs the iteration afterwards).  "Scheduled", not
+        "fired": a failure at exactly the gradient point queues its abort
+        behind this process's timeout, and must still count as first.
         """
         step = self.iteration_time * self._iteration_scale
         head = step * fraction
         yield self.sim.timeout(head)
-        if abort.triggered or self._stopped:
+        if abort._resolved or self._stopped:
             return
         yield from self.policy.on_gradient_phase(iteration)
-        if abort.triggered or self._stopped:
+        if abort._resolved or self._stopped:
             return
         # repro: allow[RACE005] step/head fix the iteration's span at spawn
         yield self.sim.timeout(step - head)
-        if abort.triggered or self._stopped or done.triggered:
+        if abort._resolved or self._stopped or done.triggered:
             return
         done.succeed()
 

@@ -16,10 +16,12 @@ reproduces the post-step state, committing at the gradient boundary is
 safe: every peer holding the replicated gradients can reconstruct
 iteration ``k`` exactly.
 
-The mid-iteration hook is a real simulator event, so macro-tick
-coalescing is illegal here: :meth:`coalesce_iterations` pins 0.
-Everything downstream — placement, CPU-memory stores, tiered recovery —
-reuses GEMINI's machinery unchanged, which keeps the invariant auditor's
+Macro ticks still apply: a window carries each iteration's gradient
+point next to its end, and GEMINI's inherited ``fast_forward`` replays
+the gradient-point commits at those exact times, so a coalesced run is
+byte-identical to one split process per iteration.  Everything
+downstream — placement, CPU-memory stores, tiered recovery — reuses
+GEMINI's machinery unchanged, which keeps the invariant auditor's
 independent re-derivation in exact agreement.
 """
 
@@ -83,20 +85,15 @@ class CheckmatePolicy(GeminiPolicy):
         # The gradient all-reduce just finished: every storer holds the
         # bytes that deterministically reproduce iteration's state, so the
         # commit is durable now — the optimizer tail is pure local work.
-        self.commit_checkpoint(iteration)
-        return
-        yield  # pragma: no cover - makes this a (empty) generator
+        # This is GEMINI's boundary commit moved to the gradient point,
+        # which is exactly what the inherited fast_forward replays there.
+        return super().on_iteration(iteration)
 
     def on_iteration(self, finished: int) -> Iterator:
         # Already committed at the gradient phase; the boundary is pure
         # bookkeeping (re-committing would double-record the trace).
         return
         yield  # pragma: no cover - makes this a (empty) generator
-
-    def coalesce_iterations(self, start: int) -> int:
-        # The gradient-phase hook is a load-bearing mid-iteration event;
-        # a macro window would skip it and break the <= 1-iteration bound.
-        return 0
 
     # ------------------------------------------------------------------- analytic
 

@@ -23,7 +23,6 @@ from repro.core.probability import (
 )
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.experiments.registry import policy_timings
-from repro.experiments.sweep import SweepRunner, fig15_grid
 from repro.failures.injector import OPT_DAILY_FAILURE_RATE, TraceFailureInjector
 from repro.failures.types import FailureEvent, FailureType
 from repro.metrics.checkpoint_time import (
@@ -337,31 +336,6 @@ def fig15a_failure_rates(
             row[name] = effective_training_time_ratio(name, spec, plan, rate)
         rows.append(row)
     return rows
-
-
-def fig15_des_sweep(
-    rates: Sequence[float] = (2.0, 4.0),
-    policies: Sequence[str] = EVAL_POLICIES,
-    num_machines: int = 16,
-    horizon_days: float = 1.0,
-    seeds: Sequence[int] = (0, 1, 2),
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-) -> List[Dict[str, Any]]:
-    """Figure 15a cross-check: the same grid measured by the full DES.
-
-    Fans the default sweep grid (policies x failure rates) through
-    :class:`repro.experiments.SweepRunner`; rows come back sorted by
-    scenario hash, byte-stable across worker counts.
-    """
-    grid = fig15_grid(
-        policies=tuple(policies),
-        rates=tuple(rates),
-        num_machines=num_machines,
-        horizon_days=horizon_days,
-        seeds=tuple(seeds),
-    )
-    return SweepRunner(grid, workers=workers, cache_dir=cache_dir).run()
 
 
 def fig15b_cluster_sizes(

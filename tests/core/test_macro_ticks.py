@@ -27,13 +27,18 @@ from repro.chaos.degrade import (
 from repro.cluster import P4D_24XLARGE
 from repro.core.kernel import SimulatedTrainingSystem
 from repro.experiments import available_policies, create_policy
-from repro.failures import FailureEvent, FailureType, PoissonFailureInjector
+from repro.failures import (
+    FailureEvent,
+    FailureType,
+    PoissonFailureInjector,
+    TraceFailureInjector,
+)
 from repro.failures.injector import apply_failure
 from repro.obs import Observability
 from repro.obs.export import to_prometheus
 from repro.sim import RandomStreams, events_tally
 from repro.training import GPT2_100B
-from repro.units import DAY
+from repro.units import DAY, HOUR
 
 #: plain ``gemini`` with its §3.2 agents on (the ``GeminiSystem``
 #: default); the four frontier policies reject agents.
@@ -123,7 +128,7 @@ def test_macro_ticks_bit_exact_under_degradations(name, mix):
     assert fast == slow
 
 
-@pytest.mark.parametrize("name", ["gemini", AGENT_MODE])
+@pytest.mark.parametrize("name", POLICIES)
 def test_macro_ticks_metrics_match_per_iteration(name):
     """Exported metrics agree too, CPU-memory commit counters included (a
     macro tick counts the store writes its replayed commits stand for);
@@ -164,25 +169,148 @@ def test_events_accounting_documented_consistent_under_coalescing():
 
 
 def test_failure_intake_releases_the_closed_window_tail():
-    """A closed window keeps only its applied boundaries, and the wake it
-    scheduled for its old end time changes nothing when it fires."""
-    policy = create_policy("gemini", use_agents=False)
+    """A closed window keeps only its applied boundaries (and replayed
+    gradient points), and the wake it scheduled for its old end time
+    changes nothing when it fires."""
+    for name in ("gemini", "checkmate"):
+        policy = create_policy(name, use_agents=False)
+        system = SimulatedTrainingSystem(
+            GPT2_100B, P4D_24XLARGE, NUM_MACHINES, policy, seed=0, macro_ticks=True
+        )
+        # Past iteration 51's gradient point (at 50.75 iterations), before
+        # its end.
+        failure_at = 50.9 * system.iteration_time
+        system.sim.run(until=failure_at)
+        window = system._macro_window
+        assert window is not None and len(window.boundaries) > 51
+        token = window.token
+        failure = FailureEvent(failure_at, FailureType.SOFTWARE, [3])
+        apply_failure(system.cluster, failure)
+        system.inject_failure(failure)
+
+        assert system._macro_window is None
+        assert len(window.boundaries) == window.applied == 50
+        assert window.boundaries[-1] < failure_at
+        if window.gradients is None:
+            assert system.committed_iteration == 50
+        else:
+            assert len(window.gradients) == window.replayed == 51
+            assert window.gradients[-1] < failure_at
+            assert system.committed_iteration == 51
+        state = (system.current_iteration, system.committed_iteration)
+        system._macro_wake(window, token)
+        assert (system.current_iteration, system.committed_iteration) == state
+        assert not window.done.triggered
+
+
+# ------------------------------------------------------------ scripted ties
+#
+# Ties between a scripted event and a gradient point or an iteration end,
+# on a policy with a gradient phase.  Scripted events are queued before
+# the run starts, so each pops before the kernel's own timeout at the
+# same instant; both paths must agree on what that order means.
+
+TIE_ITERATION = 50
+SCRIPTED_HORIZON = 3 * HOUR
+
+
+def gradient_chain(k):
+    """``(g, t)``: iteration ``k``'s gradient point and end, by the
+    kernel's float chain from ``t = 0``."""
+    probe = SimulatedTrainingSystem(
+        GPT2_100B, P4D_24XLARGE, NUM_MACHINES, create_policy("checkmate"), seed=0
+    )
+    step = probe.iteration_time
+    head = step * probe.policy.gradient_phase_fraction
+    t = 0.0
+    for _ in range(k):
+        g = t + head
+        t = g + (step - head)
+    return g, t
+
+
+def run_scripted(failures, scales, *, macro_ticks):
+    """A Checkmate run with scripted failures and ``iteration_scale``
+    changes; returns the run's fingerprint and its exported metrics."""
+    obs = Observability()
+    policy = create_policy("checkmate", use_agents=False)
+    system = SimulatedTrainingSystem(
+        GPT2_100B,
+        P4D_24XLARGE,
+        NUM_MACHINES,
+        policy,
+        seed=0,
+        num_standby=2,
+        macro_ticks=macro_ticks,
+        obs=obs,
+    )
+    TraceFailureInjector(
+        system.sim,
+        system.cluster,
+        [FailureEvent(at, kind, ranks) for at, kind, ranks in failures],
+        system.inject_failure,
+    )
+    for at, scale in scales:
+        system.sim.call_at(
+            at, lambda scale=scale: setattr(system, "iteration_scale", scale)
+        )
+    result = system.run(SCRIPTED_HORIZON)
+    metrics = [
+        line
+        for line in to_prometheus(obs.metrics).splitlines()
+        if not line.startswith(SIM_COUNTERS)
+    ]
+    return fingerprint(system, result), metrics
+
+
+def tie_case(case):
+    g, t = gradient_chain(TIE_ITERATION)
+    later = t + 41.3 * (t - g)
+    if case == "failure_at_g":
+        return [(g, FailureType.HARDWARE, [3])], []
+    if case == "failure_at_t":
+        return [(t, FailureType.HARDWARE, [3])], []
+    if case == "two_failures_at_g":
+        return [(g, FailureType.SOFTWARE, [3]), (g, FailureType.HARDWARE, [8])], []
+    # A slower stretch starting at g, inside the tail, or at t, then a
+    # failure while it lasts and a return to nominal speed afterwards.
+    start = {"scale_at_g": g, "scale_in_tail": (g + t) / 2, "scale_at_t": t}[case]
+    return (
+        [(later, FailureType.SOFTWARE, [5])],
+        [(start, 1.5), (later + HOUR, 1.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "failure_at_g",
+        "failure_at_t",
+        "two_failures_at_g",
+        "scale_at_g",
+        "scale_in_tail",
+        "scale_at_t",
+    ],
+)
+def test_macro_ticks_bit_exact_on_gradient_ties(case):
+    failures, scales = tie_case(case)
+    fast = run_scripted(failures, scales, macro_ticks=True)
+    slow = run_scripted(failures, scales, macro_ticks=False)
+    assert fast == slow
+
+
+def test_interrupt_keeps_the_inflight_gradient_point_and_end():
+    """Truncating a Checkmate window keeps exactly the in-flight
+    iteration's gradient point and end, at their original times."""
+    policy = create_policy("checkmate", use_agents=False)
     system = SimulatedTrainingSystem(
         GPT2_100B, P4D_24XLARGE, NUM_MACHINES, policy, seed=0, macro_ticks=True
     )
-    failure_at = 50.5 * system.iteration_time
-    system.sim.run(until=failure_at)
+    system.sim.run(until=50.5 * system.iteration_time)
     window = system._macro_window
-    assert window is not None and len(window.boundaries) > 51
-    token = window.token
-    failure = FailureEvent(failure_at, FailureType.SOFTWARE, [3])
-    apply_failure(system.cluster, failure)
-    system.inject_failure(failure)
+    inflight = (window.gradients[50], window.boundaries[50])
+    system.iteration_scale = 1.5
 
-    assert system._macro_window is None
-    assert len(window.boundaries) == window.applied == 50
-    assert window.boundaries[-1] < failure_at
-    state = (system.current_iteration, system.committed_iteration)
-    system._macro_wake(window, token)
-    assert (system.current_iteration, system.committed_iteration) == state
-    assert not window.done.triggered
+    assert window.applied == window.replayed == 50
+    assert window.gradients[50:] == [inflight[0]]
+    assert window.boundaries[50:] == [inflight[1]]
