@@ -157,7 +157,7 @@ class PersistentOnlyPolicy(CheckpointPolicy):
         failure_time = event.time
         failure_type = event.failure_type
         while True:
-            broken = [m.rank for m in kernel.cluster.machines() if not m.is_healthy]
+            broken = kernel.cluster.unhealthy_ranks()
             if not broken:
                 break
             record = RecoveryRecord(

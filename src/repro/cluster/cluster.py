@@ -9,7 +9,7 @@ their machine rank IDs", Section 6.2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import ClusterSpec
 from repro.cluster.instances import InstanceType
@@ -60,6 +60,11 @@ class Cluster:
         #: the primary shape (group 0 of the spec, or the single SKU).
         self.instance_type = instance_type
         self._id_counter = itertools.count()
+        #: ranks that went down since last read healthy (a superset of the
+        #: unhealthy ranks; :meth:`unhealthy_ranks` prunes it).
+        self._down: Set[int] = set()
+        #: filled in rank order; ``replace`` only reassigns a key, so the
+        #: values stay in rank order.
         self._by_rank: Dict[int, Machine] = {}
         for rank in range(num_machines):
             self._by_rank[rank] = self._new_machine(rank)
@@ -69,13 +74,16 @@ class Cluster:
         come from the rank slot, so replacements inherit both."""
         machine_id = f"m{next(self._id_counter):04d}"
         if self.spec is not None:
-            return Machine(
+            machine = Machine(
                 machine_id,
                 rank,
                 self.spec.instance_for_rank(rank),
                 position=self.spec.position_for_rank(rank),
             )
-        return Machine(machine_id, rank, self.instance_type)
+        else:
+            machine = Machine(machine_id, rank, self.instance_type)
+        machine._down_ranks = self._down
+        return machine
 
     # -- access ---------------------------------------------------------------
 
@@ -93,7 +101,7 @@ class Cluster:
 
     def machines(self) -> List[Machine]:
         """All machines in rank order."""
-        return [self._by_rank[rank] for rank in sorted(self._by_rank)]
+        return list(self._by_rank.values())
 
     def __iter__(self) -> Iterator[Machine]:
         return iter(self.machines())
@@ -101,16 +109,32 @@ class Cluster:
     def __len__(self) -> int:
         return self.size
 
+    def unhealthy_ranks(self) -> List[int]:
+        """Ranks whose machines are not healthy, ascending.
+
+        Machines only leave ``HEALTHY`` by going down, which adds their
+        rank to the down set; ranks whose machine is healthy again
+        (restarted or replaced) are pruned here, so the cost is the
+        number of ranks down, not the cluster size.
+        """
+        down = self._down
+        by_rank = self._by_rank
+        for rank in [rank for rank in down if by_rank[rank].is_healthy]:
+            down.discard(rank)
+        return sorted(down)
+
     def healthy_ranks(self) -> List[int]:
         """Ranks whose machines are fully healthy."""
-        return [m.rank for m in self.machines() if m.is_healthy]
+        down = set(self.unhealthy_ranks())
+        return [rank for rank in self._by_rank if rank not in down]
 
     def failed_ranks(self) -> List[int]:
         """Ranks whose machines are hardware-failed or being replaced."""
+        by_rank = self._by_rank
         return [
-            m.rank
-            for m in self.machines()
-            if m.state in (MachineState.FAILED, MachineState.REPLACING)
+            rank
+            for rank in self.unhealthy_ranks()
+            if by_rank[rank].state in (MachineState.FAILED, MachineState.REPLACING)
         ]
 
     def fault_domains(self) -> Optional[Tuple[Tuple[int, ...], ...]]:

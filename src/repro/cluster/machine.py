@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 from repro.cluster.instances import InstanceType
 from repro.units import fmt_bytes
@@ -86,6 +86,12 @@ class Machine:
     #: here.  ``None`` until the first listener, so machines of a run
     #: without agents carry nothing.
     _down_listeners: Optional[List[Callable[[], None]]] = None
+    #: the owning cluster's down set: each going-down adds this machine's
+    #: rank to it before any listener runs, so ``Cluster.unhealthy_ranks``
+    #: and the checkpoint stores' freeze find down ranks without scanning
+    #: the cluster.  ``Cluster._new_machine`` sets it; ``None`` on a
+    #: machine built outside a cluster.
+    _down_ranks: Optional[Set[int]] = None
 
     def __init__(
         self,
@@ -148,6 +154,8 @@ class Machine:
             self._down_listeners.remove(listener)
 
     def _went_down(self) -> None:
+        if self._down_ranks is not None:
+            self._down_ranks.add(self.rank)
         if self._down_listeners:
             for listener in list(self._down_listeners):
                 listener()

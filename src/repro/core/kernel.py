@@ -849,7 +849,7 @@ class SimulatedTrainingSystem:
         """True when no recovery is running and every machine is healthy."""
         if self._recovery_active:
             return False
-        return all(m.is_healthy for m in self.cluster.machines())
+        return not self.cluster.unhealthy_ranks()
 
     def record_persistent_checkpoint(self, snapshot: int, **extra) -> None:
         """Bookkeeping after the persistent tier gained ``snapshot``."""

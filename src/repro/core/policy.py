@@ -22,12 +22,13 @@ from repro.core.recovery import (
     RecoveryRecord,
     RetrievalSource,
     plan_recovery,
+    recovery_source,
 )
 from repro.cluster.machine import MachineState
 from repro.failures.types import FailureEvent, FailureType
 from repro.kvstore import Election, KVStore
 from repro.network.fabric import Fabric, TransferAborted
-from repro.storage.cpu_memory import CPUCheckpointStore
+from repro.storage.cpu_memory import CPUCheckpointStore, StorePlane
 from repro.trace import TraceKind
 from repro.units import HOUR, gbps
 
@@ -101,6 +102,7 @@ class GeminiPolicy(CheckpointPolicy):
         self._placement_arg = placement
         self.placement: Optional[Placement] = placement
         self.stores: Dict[int, CPUCheckpointStore] = {}
+        self.plane = StorePlane()
         self.worker_agents: Dict[int, WorkerAgent] = {}
         self.root_agents: Dict[int, RootAgent] = {}
 
@@ -134,7 +136,7 @@ class GeminiPolicy(CheckpointPolicy):
         # Hierarchical CPU-memory stores, populated per the placement.
         shard = kernel.spec.checkpoint_bytes_per_machine
         for machine in kernel.cluster:
-            store = CPUCheckpointStore(machine, obs=kernel.obs)
+            store = CPUCheckpointStore(machine, obs=kernel.obs, plane=self.plane)
             for owner in self.placement.hosted_by(machine.rank):
                 store.host_shard(owner, shard)
             self.stores[machine.rank] = store
@@ -213,7 +215,7 @@ class GeminiPolicy(CheckpointPolicy):
             every = [iteration for iteration, _at in commits]
             for storer, store in self.stores.items():
                 if store.machine.is_healthy or storer in assume_healthy:
-                    store.count_replayed_commits(
+                    store.count_commits(
                         every[:-1] if store.valid else every
                     )
         for index, (iteration, at) in enumerate(commits):
@@ -247,13 +249,23 @@ class GeminiPolicy(CheckpointPolicy):
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
         if write_stores:
-            # A valid store's machine still holds its rank: replacement
-            # needs the old hardware dead, which invalidates the store.
-            for storer, store in self.stores.items():
+            # After the freeze every clean store is a storer this commit
+            # writes, so raising the watermark writes all of them.  A valid
+            # store's machine still holds its rank: replacement needs the
+            # old hardware dead, which invalidates the store.
+            self._freeze_down(assume_healthy)
+            plane = self.plane
+            if kernel.obs.enabled:
+                for store in self.stores.values():
+                    if store.clean:
+                        store.count_commits((iteration,))
+            plane.advance(iteration)
+            for storer, store in list(plane.diverged.items()):
                 if store.valid and (
                     store.machine.is_healthy or storer in assume_healthy
                 ):
                     store.commit_all(iteration)
+                    store.rejoin()
         if iteration > 0:
             kernel.committed_iteration = iteration
             kernel.trace.record(
@@ -280,6 +292,21 @@ class GeminiPolicy(CheckpointPolicy):
                 kernel.obs.tracer.instant(
                     "checkpoint.commit", track="checkpoint", iteration=iteration
                 )
+
+    def _freeze_down(self, assume_healthy: Tuple[int, ...] = ()) -> None:
+        """Diverge the clean stores of down ranks at the watermark.
+
+        Runs before every step that reads or moves the watermark (commit,
+        rollback settle, plan): a store whose machine is down must keep
+        the iteration it held when it went down.  ``assume_healthy``
+        ranks are still storers of the commit being replayed, unless
+        their store is already invalid.
+        """
+        stores = self.stores
+        for rank in self.kernel.cluster.unhealthy_ranks():
+            store = stores[rank]
+            if store.clean and not (rank in assume_healthy and store.valid):
+                store.diverge()
 
     # --------------------------------------------------------------- persistence
 
@@ -319,24 +346,29 @@ class GeminiPolicy(CheckpointPolicy):
     # ------------------------------------------------------------------ recovery
 
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
+        # A survivor whose hardware died since the failed set was taken
+        # (during the replacement barrier) must not read as clean.
+        self._freeze_down()
         return plan_recovery(
             self.placement,
             self.stores,
             self.kernel.persistent,
             failure_type,
             failed_ranks,
+            plane=self.plane,
         )
 
     def recover(self, detected: DetectedFailure) -> Iterator:
         kernel = self.kernel
         cost = kernel.cost_model
         initially_missing = list(detected.missing_ranks)
+        cluster = kernel.cluster
         while True:
-            failed_hw = kernel.cluster.failed_ranks()
+            failed_hw = cluster.failed_ranks()
             failed_sw = [
-                m.rank
-                for m in kernel.cluster.machines()
-                if m.state == MachineState.PROCESS_DOWN
+                rank
+                for rank in cluster.unhealthy_ranks()
+                if cluster.machine(rank).state == MachineState.PROCESS_DOWN
             ]
             if not failed_hw and not failed_sw:
                 break
@@ -376,7 +408,9 @@ class GeminiPolicy(CheckpointPolicy):
                         machine.instance_type.network_bandwidth,
                         position=machine.position,
                     )
-                    store = CPUCheckpointStore(machine, obs=kernel.obs)
+                    store = CPUCheckpointStore(
+                        machine, obs=kernel.obs, plane=self.plane
+                    )
                     for owner in self.placement.hosted_by(rank):
                         store.host_shard(
                             owner, kernel.spec.checkpoint_bytes_per_machine
@@ -387,19 +421,7 @@ class GeminiPolicy(CheckpointPolicy):
             plan = self.plan_recovery(failure_type, sorted(failed_hw + failed_sw))
             record.rollback_iteration = plan.rollback_iteration
             record.from_cpu_memory = plan.from_cpu_memory
-            sources = {r.source for r in plan.retrievals}
-            # Slowest tier in the plan names the recovery (priority order;
-            # SSD never appears for GEMINI itself, only tiered subclasses).
-            for tier in (
-                RetrievalSource.PERSISTENT,
-                RetrievalSource.SSD,
-                RetrievalSource.REMOTE_CPU,
-            ):
-                if tier in sources:
-                    record.source = tier
-                    break
-            else:
-                record.source = RetrievalSource.LOCAL_CPU
+            record.source = recovery_source(plan)
 
             # Phase 3: alive agents serialize their CPU-memory replicas so
             # the restarted processes can torch.load() them.
@@ -446,9 +468,7 @@ class GeminiPolicy(CheckpointPolicy):
                 overhead=round(record.total_overhead, 3),
             )
             # Loop again if new failures arrived during recovery.
-            still_broken = [
-                m.rank for m in kernel.cluster.machines() if not m.is_healthy
-            ]
+            still_broken = cluster.unhealthy_ranks()
             if not still_broken:
                 break
             detected = DetectedFailure(
@@ -526,9 +546,14 @@ class GeminiPolicy(CheckpointPolicy):
         rollback = plan.rollback_iteration
         if rollback is None:
             return
-        for store in self.stores.values():
+        # Every clean store is valid after the freeze and takes the
+        # settle through the watermark.
+        self._freeze_down()
+        self.plane.advance(rollback)
+        for store in list(self.plane.diverged.values()):
             if store.valid:
                 store.settle_at_rollback(rollback)
+                store.rejoin()
         # Respawn agents for every rank whose worker lease is gone.
         if not self.config.use_agents:
             return

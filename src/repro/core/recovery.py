@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.core.placement import Placement
 from repro.failures.types import FailureType
-from repro.storage.cpu_memory import CPUCheckpointStore
+from repro.storage.cpu_memory import CPUCheckpointStore, StorePlane
 from repro.storage.persistent import PersistentStore
 from repro.storage.serialization import SerializationModel
 from repro.training.states import ShardingSpec
@@ -102,11 +102,16 @@ def plan_recovery(
     persistent: PersistentStore,
     failure_type: FailureType,
     failed_ranks: List[int],
+    plane: Optional[StorePlane] = None,
 ) -> RecoveryPlan:
     """Decide every rank's retrieval source and the rollback iteration.
 
     ``stores`` maps rank -> that machine's CPU checkpoint store (stores of
     hardware-failed machines are invalid and report no checkpoints).
+    ``plane`` is the stores' shared :class:`StorePlane`, if they have one;
+    its clean stores must all belong to healthy machines (the caller
+    freezes those of down ranks first).  Survivors' own replicas are then
+    read from the watermark and the diverged stores alone.
     """
     n = placement.num_machines
     failed = set(failed_ranks)
@@ -115,27 +120,21 @@ def plan_recovery(
     if failure_type is FailureType.SOFTWARE:
         # Hardware intact everywhere: every machine reloads its own local
         # replica (Figure 6b).
-        iterations = [stores[rank].latest_complete(rank) for rank in range(n)]
-        if all(it is not None for it in iterations):
+        complete, rollback = _own_floor(stores, plane, n, ())
+        if complete:
             return RecoveryPlan(
                 failure_type=failure_type,
                 failed_ranks=failed_sorted,
                 retrievals=uniform_retrievals(placement, RetrievalSource.LOCAL_CPU),
-                rollback_iteration=min(iterations),
+                rollback_iteration=rollback,
                 from_cpu_memory=True,
             )
         return _persistent_plan(placement, persistent, failure_type, failed_sorted)
 
     # Hardware failure: every survivor reads its own replica ...
-    rollback: Optional[int] = None
-    for rank in range(n):
-        if rank in failed:
-            continue
-        own = stores[rank].latest_complete(rank)
-        if own is None:
-            return _persistent_plan(placement, persistent, failure_type, failed_sorted)
-        if rollback is None or own < rollback:
-            rollback = own
+    complete, rollback = _own_floor(stores, plane, n, failed)
+    if not complete:
+        return _persistent_plan(placement, persistent, failure_type, failed_sorted)
     # ... and each lost shard comes from its lowest-ranked surviving peer
     # with a complete copy.
     retrievals = uniform_retrievals(placement, RetrievalSource.LOCAL_CPU)
@@ -161,6 +160,53 @@ def plan_recovery(
         rollback_iteration=rollback,
         from_cpu_memory=True,
     )
+
+
+def _own_floor(
+    stores: Dict[int, CPUCheckpointStore],
+    plane: Optional[StorePlane],
+    n: int,
+    lost: Collection[int],
+) -> Tuple[bool, Optional[int]]:
+    """``(complete, floor)`` over the own replicas of ranks not in ``lost``.
+
+    ``complete`` is False when one of them holds none; ``floor`` is the
+    oldest iteration among them (None when every rank is lost).  With a
+    plane, the clean survivors all hold its watermark, so only the
+    diverged survivors are read one by one.
+    """
+    floor: Optional[int] = None
+    if plane is None:
+        ranks = [rank for rank in range(n) if rank not in lost]
+    else:
+        ranks = [rank for rank in plane.diverged if rank not in lost]
+        if n - len(lost) > len(ranks):
+            floor = plane.watermark
+            if floor is None:
+                return False, None
+    for rank in ranks:
+        own = stores[rank].latest_complete(rank)
+        if own is None:
+            return False, None
+        if floor is None or own < floor:
+            floor = own
+    return True, floor
+
+
+def recovery_source(plan: RecoveryPlan) -> RetrievalSource:
+    """The slowest tier a plan reads from, which names the recovery.
+
+    A fallback plan reads every shard from one tier (persistent storage,
+    or TierCheck's SSD pool); a CPU-memory plan reads survivors locally
+    and only failed ranks from a peer.
+    """
+    if not plan.from_cpu_memory:
+        return plan.retrievals[0].source
+    retrievals = plan.retrievals
+    for rank in plan.failed_ranks:
+        if retrievals[rank].source is RetrievalSource.REMOTE_CPU:
+            return RetrievalSource.REMOTE_CPU
+    return RetrievalSource.LOCAL_CPU
 
 
 def _persistent_plan(

@@ -12,7 +12,7 @@ Failure recovery fetches from the fastest tier that still has a complete,
 consistent checkpoint.
 """
 
-from repro.storage.cpu_memory import CPUCheckpointStore, ReplicaSlot
+from repro.storage.cpu_memory import CPUCheckpointStore, ReplicaSlot, StorePlane
 from repro.storage.persistent import PersistentStore
 from repro.storage.serialization import (
     SERIALIZATION_BYTES_PER_SEC,
@@ -27,4 +27,5 @@ __all__ = [
     "SERIALIZATION_BYTES_PER_SEC",
     "SSDStore",
     "SerializationModel",
+    "StorePlane",
 ]

@@ -10,6 +10,17 @@ checkpointing crash-consistent.
 Contents live in the machine's CPU memory and are destroyed by hardware
 failures (the store watches the machine's incarnation epoch, which every
 hardware failure bumps).
+
+One policy's stores share a :class:`StorePlane`, whose watermark is the
+iteration every *clean* store's hosted slots hold: a clean store keeps no
+slot values of its own, so a cluster-wide commit raises one number.  A
+store *diverges*, and holds explicit :class:`ReplicaSlot` values, as soon
+as any of them may differ: a write starts on it, a shard is corrupted, it
+is built mid-run (its slots start empty), or its machine went down (the
+policy freezes it at the watermark before the next commit).  A diverged
+store whose machine is healthy and whose slots all hold the watermark
+again rejoins the clean ones.  A store built without a plane is always
+diverged.
 """
 
 from __future__ import annotations
@@ -35,6 +46,28 @@ class ReplicaSlot:
         return 2 * self.nbytes
 
 
+class StorePlane:
+    """The shared state of one policy's CPU-memory stores.
+
+    ``watermark`` is the running maximum of every cluster-wide commit and
+    rollback settle: each hosted slot of a clean store holds it.
+    ``diverged`` maps storer rank to the store of that rank that holds
+    explicit slot values; a store built with the plane adds itself when
+    it diverges and removes itself when it rejoins.
+    """
+
+    __slots__ = ("watermark", "diverged")
+
+    def __init__(self):
+        self.watermark: Optional[int] = None
+        self.diverged: Dict[int, "CPUCheckpointStore"] = {}
+
+    def advance(self, iteration: int) -> None:
+        """Raise the watermark to ``iteration`` (never lower it)."""
+        if self.watermark is None or iteration > self.watermark:
+            self.watermark = iteration
+
+
 class CPUCheckpointStore:
     """Checkpoint shards held in one machine's CPU memory.
 
@@ -48,15 +81,25 @@ class CPUCheckpointStore:
     obs:
         Optional :class:`repro.obs.Observability`; commits count bytes and
         hosted-replica gauges per machine.
+    plane:
+        The :class:`StorePlane` shared with the policy's other stores, or
+        ``None`` for a store that always holds explicit slot values.  A
+        store built before the plane's first commit starts clean; one
+        built later starts diverged, its slots empty.
     """
 
-    def __init__(self, machine: Machine, obs=None):
+    def __init__(self, machine: Machine, obs=None, plane: Optional[StorePlane] = None):
         self.machine = machine
         # -1 is never a machine epoch: a store built on dead hardware is
         # never valid.
         self._epoch = machine.epoch if machine.hardware_alive else -1
         self._slots: Dict[int, ReplicaSlot] = {}
         self._obs = obs
+        self._plane = plane
+        #: every hosted slot holds ``plane.watermark`` (no write open).
+        self.clean = plane is not None and plane.watermark is None
+        if plane is not None and not self.clean:
+            plane.diverged[machine.rank] = self
 
     def _update_hosted_gauge(self) -> None:
         if self._obs is None or not self._obs.enabled:
@@ -86,6 +129,42 @@ class CPUCheckpointStore:
                 "(hardware failed or machine replaced)"
             )
 
+    # -- clean and diverged ---------------------------------------------------------
+
+    def diverge(self) -> None:
+        """Give every hosted slot the value it implies, explicitly.
+
+        A clean store's slots take the current watermark, and the store
+        joins the plane's diverged ones; a diverged store is unchanged.
+        The policy calls this for a store whose machine went down, so the
+        next commit skips it; every write calls it first.
+        """
+        if not self.clean:
+            return
+        watermark = self._plane.watermark
+        for slot in self._slots.values():
+            slot.completed_iteration = watermark
+        self.clean = False
+        self._plane.diverged[self.machine.rank] = self
+
+    def rejoin(self) -> None:
+        """Become clean again if nothing sets this store apart any more.
+
+        That is: the machine is healthy, the store is valid, no write is
+        in progress and every hosted slot holds the watermark.
+        """
+        if self.clean or not self.machine.is_healthy or not self.valid:
+            return
+        watermark = self._plane.watermark
+        for slot in self._slots.values():
+            if (
+                slot.completed_iteration != watermark
+                or slot.in_progress_iteration is not None
+            ):
+                return
+        self.clean = True
+        del self._plane.diverged[self.machine.rank]
+
     # -- slot management ----------------------------------------------------------
 
     def host_shard(self, rank: int, nbytes: float) -> ReplicaSlot:
@@ -107,10 +186,13 @@ class CPUCheckpointStore:
         return sorted(self._slots)
 
     def slot(self, rank: int) -> ReplicaSlot:
+        """``rank``'s slot, which the caller may write: the store diverges."""
         try:
-            return self._slots[rank]
+            slot = self._slots[rank]
         except KeyError:
             raise KeyError(f"rank {rank} not hosted on {self.machine}") from None
+        self.diverge()
+        return slot
 
     # -- the write protocol --------------------------------------------------------
 
@@ -154,6 +236,7 @@ class CPUCheckpointStore:
         still in progress raises, as ``begin_write`` would.
         """
         self._check_valid()
+        self.diverge()
         counting = self._obs is not None and self._obs.enabled
         for slot in self._slots.values():
             completed = slot.completed_iteration
@@ -168,18 +251,21 @@ class CPUCheckpointStore:
             if counting:
                 self._count_commit(slot.nbytes)
 
-    def count_replayed_commits(self, iterations: Sequence[int]) -> None:
-        """Count the commits a macro tick replays without writing them.
+    def count_commits(self, iterations: Sequence[int]) -> None:
+        """Count the commits of ``iterations`` without writing them.
 
-        ``iterations`` ascend and precede the batch's final commit, whose
-        ``commit_all`` writes the slots.  Each slot counts one commit per
-        iteration newer than the one it holds, exactly as committing
-        every iteration would have.
+        ``iterations`` ascend.  Each slot counts one commit per iteration
+        newer than the one it holds, exactly as committing every
+        iteration would have: a macro tick counts the commits it replays
+        before the batch's final one, and a cluster-wide commit counts
+        the slots of clean stores it advances through the watermark.
         """
         if self._obs is None or not self._obs.enabled:
             return
         for slot in self._slots.values():
-            completed = slot.completed_iteration
+            completed = (
+                self._plane.watermark if self.clean else slot.completed_iteration
+            )
             for iteration in iterations:
                 if completed is None or iteration > completed:
                     self._count_commit(slot.nbytes)
@@ -208,6 +294,7 @@ class CPUCheckpointStore:
         retrieval phase restored it); newer completed slots are kept.
         """
         self._check_valid()
+        self.diverge()
         for slot in self._slots.values():
             slot.in_progress_iteration = None
             completed = slot.completed_iteration
@@ -241,7 +328,9 @@ class CPUCheckpointStore:
         if not self.valid:
             return None
         slot = self._slots.get(rank)
-        return slot.completed_iteration if slot else None
+        if slot is None:
+            return None
+        return self._plane.watermark if self.clean else slot.completed_iteration
 
     def __repr__(self) -> str:
         state = "valid" if self.valid else "INVALID"

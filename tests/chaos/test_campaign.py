@@ -1,6 +1,7 @@
 """Chaos scenarios, grids, presets, and the campaign report."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,15 @@ from repro.chaos import (
     run_campaign,
 )
 from repro.experiments import Scenario, SweepRunner
+
+#: sha256 of each fleet cell's canonical row at seed 0 over 0.05 days;
+#: any change to a recovery, ratio or audit count moves it.
+FLEET_ROW_SHA256 = {
+    "gemini-fleet1k-rack": "8ff1dda92bb1df3456c375941e785609d775fdd5afa139f4e7eb2d7ffd3e2e65",
+    "gemini-fleet1k-degraded": "21d17e59edd034b196485924d560411e40e8db67de4efd092b01642b6dff3f58",
+    "tiercheck-fleet1k-rack": "2064ff112bf63d129dae660c0bb876f77d47cf53ccc64ece9d087407b11c55b2",
+    "reft-fleet1k-rack": "6e0dc0cff65302a2f10fdd94b3cb55d6385bf9c4c7963b39c4e0f3b9452afbe7",
+}
 
 
 class TestChaosScenario:
@@ -148,6 +158,8 @@ class TestGridAndPresets:
         row = dataclasses.replace(scenario, seeds=(0,), horizon_days=0.05).run()
         assert row["total_recoveries"] >= 1
         assert row["violation_count"] == 0, row["violations"]
+        text = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FLEET_ROW_SHA256[cell]
 
     def test_nightly_is_wider_than_ci(self):
         assert len(chaos_grid(**CAMPAIGN_PRESETS["nightly"])) > len(

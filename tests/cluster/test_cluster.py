@@ -1,6 +1,8 @@
 """Cluster rank management and machine replacement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, MachineState, P4D_24XLARGE
 
@@ -39,6 +41,50 @@ class TestCluster:
         cluster.machine(1).mark_process_down()
         assert cluster.failed_ranks() == []
         assert 1 not in cluster.healthy_ranks()
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["software", "hardware", "restart", "replacing", "replace", "stale"]
+                ),
+                st.integers(min_value=0, max_value=5),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unhealthy_ranks_match_a_full_scan(self, ops):
+        """The down set, pruned on read, against a scan of every machine."""
+        cluster = Cluster(6, P4D_24XLARGE)
+        replaced = []
+        for kind, rank in ops:
+            machine = cluster.machine(rank)
+            if kind == "software" and machine.state is not MachineState.FAILED:
+                machine.mark_process_down()
+            elif kind == "hardware":
+                machine.mark_failed()
+            elif kind == "restart" and machine.state is MachineState.PROCESS_DOWN:
+                machine.restart_process()
+            elif kind == "replacing" and not machine.hardware_alive:
+                machine.state = MachineState.REPLACING
+            elif kind == "replace" and not machine.hardware_alive:
+                replaced.append(machine)
+                cluster.replace(rank)
+            elif kind == "stale" and replaced:
+                # A late event on a machine already replaced away.
+                replaced[rank % len(replaced)].mark_failed()
+            machines = [cluster.machine(r) for r in range(cluster.size)]
+            assert cluster.unhealthy_ranks() == [
+                m.rank for m in machines if not m.is_healthy
+            ]
+            assert cluster.healthy_ranks() == [m.rank for m in machines if m.is_healthy]
+            assert cluster.failed_ranks() == [
+                m.rank
+                for m in machines
+                if m.state in (MachineState.FAILED, MachineState.REPLACING)
+            ]
+            assert cluster.machines() == machines
 
     def test_find_by_id(self, cluster):
         machine = cluster.machine(2)

@@ -4,7 +4,9 @@ Hypothesis profiles selectable with ``--hypothesis-profile``:
 
 - ``agents-twin-nightly``: the scheduled CI run's budget for the
   analytic-vs-materialized agent twin
-  (``tests/core/test_agents_differential.py``); tier-1 runs a bounded
+  (``tests/core/test_agents_differential.py``) and the watermark twins
+  (``tests/core/test_commit_differential.py``,
+  ``tests/core/test_planner_differential.py``); tier-1 runs a bounded
   number of examples.
 """
 

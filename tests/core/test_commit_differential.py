@@ -1,17 +1,21 @@
-"""Per-store checkpoint commit and rollback settle vs the per-slot protocol.
+"""Watermark checkpoint commit and rollback settle vs the per-slot protocol.
 
-``GeminiPolicy.commit_checkpoint`` commits each store's hosted slots in
-one ``CPUCheckpointStore.commit_all`` call, and ``_reconstitute_after``
-settles each store with one ``settle_at_rollback`` call.  The oracle here
-is the per-slot loop they replace: for every (owner, storer) pair of the
-placement, skip unhealthy storers (unless replayed as healthy) and
-invalid stores, skip slots already at or past the iteration, then
-``begin_write`` + ``commit_write``; at rollback, ``abort_write`` any
-in-progress slot and raise older ones to the rollback iteration.
+``GeminiPolicy.commit_checkpoint`` raises the stores' shared watermark,
+which every clean store's slots hold, and calls
+``CPUCheckpointStore.commit_all`` on the diverged stores only;
+``_reconstitute_after`` does the same with ``settle_at_rollback``.  The
+oracle here is the per-slot loop they replace: for every (owner, storer)
+pair of the placement, skip unhealthy storers (unless replayed as
+healthy) and invalid stores, skip slots already at or past the
+iteration, then ``begin_write`` + ``commit_write``; at rollback,
+``abort_write`` any in-progress slot and raise older ones to the
+rollback iteration.
 
 Two identical systems receive the same random operations: one through
-the policy, one through the oracle.  Every slot of every store must
-agree after each step.
+the policy, one through the oracle.  Replacement stores are built as
+``GeminiPolicy.recover`` builds them, on the policy's plane.  Every slot
+of every store must agree after each step, read without diverging a
+clean store.
 """
 
 from types import SimpleNamespace
@@ -24,11 +28,21 @@ from repro.cluster import Machine, P4D_24XLARGE
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.obs import Observability
 from repro.obs.export import to_prometheus
-from repro.storage import CPUCheckpointStore
+from repro.storage import CPUCheckpointStore, StorePlane
 from repro.training import GPT2_10B
 from repro.units import GB
 
 CPU_CKPT_COUNTERS = ("repro_cpu_ckpt_commits_total", "repro_cpu_ckpt_bytes_total")
+
+#: the nightly CI job loads the registered ``agents-twin-nightly``
+#: profile (tests/conftest.py); tier-1 runs each test's own budget.
+_NIGHTLY = settings.get_profile("agents-twin-nightly")
+
+
+def twin_examples(tier1: int) -> int:
+    if settings.default.max_examples == _NIGHTLY.max_examples:
+        return _NIGHTLY.max_examples
+    return tier1
 
 
 def oracle_commit(system, iteration, assume_healthy=()):
@@ -72,21 +86,35 @@ def build(num_machines, num_replicas, strategy, obs=None):
     return GeminiSystem(GPT2_10B, P4D_24XLARGE, num_machines, config=config, obs=obs)
 
 
-def slot_states(system):
-    return {
-        rank: (
-            store.valid,
-            [
-                (
-                    owner,
-                    store.slot(owner).completed_iteration,
-                    store.slot(owner).in_progress_iteration,
-                )
-                for owner in store.hosted_ranks()
-            ],
+def slot_view(store, watermark):
+    """``(owner, completed, in_progress)`` per hosted slot; a clean store's
+    slots hold the watermark and are read without diverging it."""
+    if store.clean:
+        return [(owner, watermark, None) for owner in store.hosted_ranks()]
+    return [
+        (
+            owner,
+            store.slot(owner).completed_iteration,
+            store.slot(owner).in_progress_iteration,
         )
+        for owner in store.hosted_ranks()
+    ]
+
+
+def slot_states(system):
+    watermark = system.policy.plane.watermark
+    return {
+        rank: (store.valid, slot_view(store, watermark))
         for rank, store in system.policy.stores.items()
     }
+
+
+def assert_plane_consistent(system):
+    """``plane.diverged`` lists exactly the installed stores not clean."""
+    stores = system.policy.stores
+    diverged = system.policy.plane.diverged
+    assert sorted(diverged) == sorted(r for r, s in stores.items() if not s.clean)
+    assert all(diverged[rank] is stores[rank] for rank in diverged)
 
 
 def cpu_ckpt_lines(system):
@@ -130,7 +158,9 @@ def apply(op, bulk, oracle, state):
             (oracle, oracle_hosted(oracle.policy.placement, rank)),
         ):
             machine = system.cluster.replace(rank)
-            store = CPUCheckpointStore(machine, obs=system.obs)
+            store = CPUCheckpointStore(
+                machine, obs=system.obs, plane=system.policy.plane
+            )
             for owner in hosted:
                 store.host_shard(owner, shard)
             system.policy.stores[rank] = store
@@ -148,7 +178,8 @@ def apply(op, bulk, oracle, state):
                 owner = store.hosted_ranks()[b % len(store.hosted_ranks())]
                 newest = max(state["iteration"], store.latest_complete(owner) or 0)
                 store.begin_write(owner, newest + 1)
-        rollback = max(0, state["iteration"] - b % 4)
+        # Usually behind the last commit; one in five lands past it.
+        rollback = max(0, state["iteration"] + 1 - b % 5)
         bulk.policy._reconstitute_after(SimpleNamespace(rollback_iteration=rollback))
         oracle_settle(oracle, rollback)
         state["iteration"] = rollback
@@ -189,7 +220,7 @@ class TestDifferential:
         ),
         steps=st.lists(ops, min_size=1, max_size=25),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=twin_examples(60), deadline=None)
     def test_bulk_matches_per_slot_oracle(self, shape, steps):
         n, m, strategy = shape
         bulk, oracle = build(n, m, strategy), build(n, m, strategy)
@@ -198,9 +229,10 @@ class TestDifferential:
         for op in steps:
             apply(op, bulk, oracle, state)
             assert slot_states(bulk) == slot_states(oracle), op
+            assert_plane_consistent(bulk)
 
     @given(steps=st.lists(ops, min_size=1, max_size=15))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=twin_examples(15), deadline=None)
     def test_commit_metrics_byte_identical(self, steps):
         bulk = build(5, 2, "mixed", obs=Observability())
         oracle = build(5, 2, "mixed", obs=Observability())
@@ -279,3 +311,75 @@ class TestSettleAtRollback:
         machine.mark_failed()
         with pytest.raises(RuntimeError, match="invalid"):
             store.settle_at_rollback(1)
+
+
+class TestStorePlane:
+    """The clean/diverged life cycle of a policy's stores."""
+
+    @pytest.fixture
+    def system(self):
+        return build(5, 2, "mixed")
+
+    def test_stores_start_clean_at_the_seed_commit(self, system):
+        plane = system.policy.plane
+        assert plane.watermark == 0 and not plane.diverged
+        assert all(store.clean for store in system.policy.stores.values())
+        system.policy.commit_checkpoint(4)
+        assert plane.watermark == 4 and not plane.diverged
+        assert system.policy.stores[3].latest_complete(3) == 4
+
+    def test_down_store_freezes_then_rejoins(self, system):
+        policy = system.policy
+        system.cluster.machine(2).mark_process_down()
+        policy.commit_checkpoint(6)
+        store = policy.stores[2]
+        assert not store.clean and policy.plane.diverged == {2: store}
+        assert [store.latest_complete(r) for r in store.hosted_ranks()] == [0, 0]
+        system.cluster.machine(2).restart_process()
+        policy.commit_checkpoint(7)
+        assert store.clean and not policy.plane.diverged
+        assert store.latest_complete(2) == 7
+
+    def test_replayed_storer_takes_the_commit_while_down(self, system):
+        policy = system.policy
+        system.cluster.machine(3).mark_process_down()
+        policy.commit_checkpoint(5, assume_healthy=(3,))
+        assert policy.stores[3].clean
+        policy.commit_checkpoint(6)
+        assert not policy.stores[3].clean
+        assert policy.stores[3].latest_complete(3) == 5
+
+    def test_corrupted_shard_diverges_until_repaired(self, system):
+        policy = system.policy
+        policy.stores[1].corrupt_shard(1)
+        assert policy.stores[1].latest_complete(1) is None
+        assert policy.stores[1].latest_complete(0) == 0
+        policy.commit_checkpoint(3)
+        assert policy.stores[1].clean and policy.stores[1].latest_complete(1) == 3
+
+    def test_rollback_settle_rejoins_at_the_watermark(self, system):
+        policy = system.policy
+        policy.commit_checkpoint(8)
+        policy.stores[4].begin_write(4, 9)
+        policy._reconstitute_after(SimpleNamespace(rollback_iteration=6))
+        assert policy.plane.watermark == 8 and not policy.plane.diverged
+        assert policy.stores[4].slot(4).in_progress_iteration is None
+
+    def test_store_built_after_the_first_commit_starts_empty(self, system):
+        plane = system.policy.plane
+        system.cluster.machine(0).mark_failed()
+        machine = system.cluster.replace(0)
+        store = CPUCheckpointStore(machine, plane=plane)
+        store.host_shard(0, GB)
+        assert not store.clean and plane.diverged[0] is store
+        assert store.latest_complete(0) is None
+        early = CPUCheckpointStore(Machine("mx", 7, P4D_24XLARGE), plane=StorePlane())
+        early.host_shard(7, GB)
+        assert early.clean and early.latest_complete(7) is None
+
+    def test_writing_a_slot_diverges_a_clean_store(self, system):
+        store = system.policy.stores[0]
+        (peer,) = [owner for owner in store.hosted_ranks() if owner != 0]
+        store.slot(0).completed_iteration = 9
+        assert not store.clean
+        assert store.latest_complete(0) == 9 and store.latest_complete(peer) == 0

@@ -8,6 +8,12 @@ builds a fresh ``ShardRetrieval`` for each.  Both see the same stores
 over group, ring, mixed, topology and REFT placements, random failed
 sets of either type, corrupted slots, and survivors whose hardware died
 after the failed set was taken (the replacement-barrier case).
+
+The same drawn state is also built on a ``GeminiPolicy``'s stores, which
+share a watermark: most slots hold it implicitly, and
+``GeminiPolicy.plan_recovery`` reads survivors from the watermark and
+the diverged stores alone.  Its plan must equal the oracle's, including
+when a survivor's hardware died with no commit since.
 """
 
 from typing import Dict, List
@@ -25,10 +31,22 @@ from repro.core.recovery import (
     UnrecoverableError,
     plan_recovery,
 )
+from repro.core.system import GeminiConfig, GeminiSystem
 from repro.failures import FailureType
 from repro.frontier.reft import reft_placement
 from repro.storage import CPUCheckpointStore, PersistentStore
+from repro.training import GPT2_10B
 from repro.units import GB
+
+#: the nightly CI job loads the registered ``agents-twin-nightly``
+#: profile (tests/conftest.py); tier-1 runs each test's own budget.
+_NIGHTLY = settings.get_profile("agents-twin-nightly")
+
+
+def twin_examples(tier1: int) -> int:
+    if settings.default.max_examples == _NIGHTLY.max_examples:
+        return _NIGHTLY.max_examples
+    return tier1
 
 
 def oracle_plan_recovery(
@@ -159,9 +177,16 @@ def scenarios(draw):
         # Failed ranks of a hardware failure whose process died instead:
         # their stores stay valid but must not serve as peers.
         "process_down": draw(st.lists(ranks, max_size=n)),
-        # Completed iteration of every hosted slot, storer-major ...
+        # The iteration most slots hold (the policy's watermark) ...
+        "watermark": draw(st.integers(10, 16)),
+        # ... the completed iteration of every hosted slot, storer-major,
+        # where None keeps the watermark ...
         "iterations": draw(
-            st.lists(st.integers(10, 16), min_size=n * m, max_size=n * m)
+            st.lists(
+                st.one_of(st.none(), st.integers(10, 16)),
+                min_size=n * m,
+                max_size=n * m,
+            )
         ),
         # ... and the slots then corrupted (indices into that order).
         "corrupt": draw(st.lists(st.integers(0, n * m - 1), max_size=2)),
@@ -183,8 +208,55 @@ def build(scenario):
             slots.append((store, owner))
         stores[machine.rank] = store
     for (store, owner), iteration in zip(slots, scenario["iterations"]):
+        iteration = scenario["watermark"] if iteration is None else iteration
         store.begin_write(owner, iteration)
         store.commit_write(owner, iteration)
+    return fail(scenario, cluster, stores, slots, CPUCheckpointStore)
+
+
+def build_on_plane(scenario):
+    """The drawn state on a ``GeminiPolicy``'s watermark-backed stores."""
+    placement = scenario["placement"]
+    system = GeminiSystem(
+        GPT2_10B,
+        P4D_24XLARGE,
+        placement.num_machines,
+        config=GeminiConfig(use_agents=False, num_replicas=placement.num_replicas),
+        placement=placement,
+    )
+    policy = system.policy
+    policy.commit_checkpoint(scenario["watermark"])
+    slots = [
+        (policy.stores[storer], owner)
+        for storer in range(placement.num_machines)
+        for owner in placement.hosted_by(storer)
+    ]
+    for (store, owner), iteration in zip(slots, scenario["iterations"]):
+        if iteration is not None:
+            store.slot(owner).completed_iteration = iteration
+    _placement, _stores, persistent, _failed = fail(
+        scenario,
+        system.cluster,
+        policy.stores,
+        slots,
+        lambda machine: CPUCheckpointStore(machine, plane=policy.plane),
+    )
+    system.persistent = persistent
+    return policy
+
+
+def through_policy(policy):
+    """``policy.plan_recovery`` called with the planner's signature."""
+    return lambda _placement, _stores, _persistent, failure_type, failed: (
+        policy.plan_recovery(failure_type, failed)
+    )
+
+
+def fail(scenario, cluster, stores, slots, new_store):
+    """Corrupt, fail, replace and late-kill as drawn; build the persistent
+    tier.  ``new_store(machine)`` builds a replacement's empty store."""
+    placement = scenario["placement"]
+    n = placement.num_machines
     for index in scenario["corrupt"]:
         store, owner = slots[index]
         store.corrupt_shard(owner)
@@ -199,7 +271,7 @@ def build(scenario):
                 machine.mark_failed()
         for rank in sorted(set(scenario["replaced"]) & set(failed) - process_down):
             machine = cluster.replace(rank)
-            store = CPUCheckpointStore(machine)
+            store = new_store(machine)
             for owner in placement.hosted_by(rank):
                 store.host_shard(owner, GB)
             stores[rank] = store
@@ -233,7 +305,7 @@ def outcome(planner, placement, stores, persistent, failure_type, failed):
 
 class TestPlannerDifferential:
     @given(scenario=scenarios())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=twin_examples(300), deadline=None)
     def test_matches_per_rank_oracle(self, scenario):
         placement, stores, persistent, failed = build(scenario)
         failure_type = scenario["failure_type"]
@@ -242,6 +314,10 @@ class TestPlannerDifferential:
         )
         assert outcome(
             plan_recovery, placement, stores, persistent, failure_type, failed
+        ) == expected
+        assert outcome(
+            through_policy(build_on_plane(scenario)),
+            placement, stores, persistent, failure_type, failed,
         ) == expected
         # A plan owns its retrievals list: mutating it (as a caller may)
         # leaves the next plan over the same placement unchanged.
