@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 from repro.baselines.policies import PolicyTimings, highfreq_policy, strawman_policy
 from repro.cluster.instances import InstanceType
 from repro.cluster.machine import MachineState
+from repro.core.agents import DetectedFailure
 from repro.core.kernel import CheckpointPolicy, SimulatedTrainingSystem, SystemResult
 from repro.core.recovery import (
     RecoveryCostModel,
@@ -27,7 +28,7 @@ from repro.core.recovery import (
     RetrievalSource,
     ShardRetrieval,
 )
-from repro.failures.types import FailureEvent
+from repro.failures.types import FailureType
 from repro.storage.serialization import SerializationModel
 from repro.trace import TraceKind
 from repro.training.models import ModelConfig
@@ -128,13 +129,6 @@ class PersistentOnlyPolicy(CheckpointPolicy):
             # Released in finally so a dead upload can't wedge the gate.
             self._upload_in_flight = False
 
-    # ------------------------------------------------------------- failure intake
-
-    def after_failure(self, event: FailureEvent) -> None:
-        # No agents: the recovery process models detection as a fixed
-        # delay from the failure itself.
-        self.kernel.begin_recovery(event)
-
     # ------------------------------------------------------------------ recovery
 
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
@@ -151,34 +145,40 @@ class PersistentOnlyPolicy(CheckpointPolicy):
             from_cpu_memory=False,
         )
 
-    def recover(self, event: FailureEvent) -> Iterator:
+    def recover(self, detected: DetectedFailure) -> Iterator:
         kernel = self.kernel
         cost = kernel.cost_model
-        failure_time = event.time
-        failure_type = event.failure_type
-        while True:
-            broken = kernel.cluster.unhealthy_ranks()
-            if not broken:
-                break
+        cluster = kernel.cluster
+        failure_type = detected.failure_type
+        # Pass 1 restores the reported ranks that are still down, so a
+        # detection firing after a recovery restored them starts nothing.
+        broken = [r for r in detected.missing_ranks if not cluster.machine(r).is_healthy]
+        while broken:
+            hw_ranks = [
+                rank
+                for rank in broken
+                if cluster.machine(rank).state
+                in (MachineState.FAILED, MachineState.REPLACING)
+            ]
+            # A root agent's scan reports ranks only: date the failure one
+            # detection delay back and type it by the machines' states.
+            failure_time = detected.failure_time
+            if failure_time is None:
+                failure_time = detected.detected_at - cost.detection_delay
+            if failure_type is None:
+                failure_type = FailureType.HARDWARE if hw_ranks else FailureType.SOFTWARE
             record = RecoveryRecord(
                 failure_time=failure_time,
                 failure_type=failure_type,
                 failed_ranks=broken,
+                detected_at=detected.detected_at,
             )
-            yield kernel.sim.timeout(cost.detection_delay)
-            record.detected_at = kernel.sim.now
             kernel.trace.record(
                 kernel.sim.now,
                 TraceKind.DETECTION,
                 ranks=broken,
                 failure_type=failure_type.value,
             )
-            hw_ranks = [
-                rank
-                for rank in broken
-                if kernel.cluster.machine(rank).state
-                in (MachineState.FAILED, MachineState.REPLACING)
-            ]
             if hw_ranks:
                 yield kernel.replace_hardware(hw_ranks)
                 record.replacement_done_at = kernel.sim.now
@@ -220,7 +220,10 @@ class PersistentOnlyPolicy(CheckpointPolicy):
                 overhead=round(record.total_overhead, 3),
             )
             # New failures may have landed during recovery; loop handles them.
-            failure_time = kernel.sim.now
+            detected = yield from kernel.redetect()
+            if detected is None:
+                break
+            broken = detected.missing_ranks
 
     # ------------------------------------------------------------------- analytic
 

@@ -31,7 +31,7 @@ the system recovers from, the paper's safety/liveness promises:
     Training resumes at the rollback point: ``committed_iteration ==
     rollback`` and ``current_iteration == rollback + 1``.
 ``detection-window`` (I8, Section 3.2)
-    GEMINI-family policies with ``use_agents=True`` only.  A failure
+    Agent mode (``use_agents=True``), for every policy.  A failure
     that strikes a quiet cluster (no recovery in flight, every other
     machine healthy, no earlier failure still undetected) is detected by
     lease expiry: the next recovery's ``detected_at`` lies within
@@ -52,7 +52,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.machine import MachineState
 from repro.core.kernel import KernelListener, SimulatedTrainingSystem
-from repro.core.policy import GeminiConfig
 from repro.core.recovery import RecoveryPlan, RecoveryRecord, RetrievalSource
 from repro.failures.types import FailureEvent, FailureType
 
@@ -112,12 +111,12 @@ class RecoveryInvariantAuditor(KernelListener):
         self._failure_log: List[FailureEvent] = []
         self._last_plan: Optional[RecoveryPlan] = None
         #: I8's (earliest, latest) detection delay, or None out of scope.
-        self._detection_window: Optional[Tuple[float, float]] = None
-        config = getattr(system.policy, "config", None)
-        if isinstance(config, GeminiConfig) and config.use_agents:
-            self._detection_window = (
-                config.lease_ttl - config.heartbeat_interval,
-                config.lease_ttl + config.heartbeat_interval,
+        self.detection_window: Optional[Tuple[float, float]] = None
+        detector = system.detector
+        if detector.use_agents:
+            self.detection_window = (
+                detector.lease_ttl - detector.heartbeat_interval,
+                detector.lease_ttl + detector.heartbeat_interval,
             )
         #: time of the failure I8 waits to see detected, if any.
         self._undetected_failure_at: Optional[float] = None
@@ -465,7 +464,7 @@ class RecoveryInvariantAuditor(KernelListener):
         last recovery completed plus every rank struck since.  It is
         empty only when no recovery is needed and none is pending.
         """
-        if self._detection_window is None:
+        if self.detection_window is None:
             return
         if not self._maybe_down and not self.system.recovery_active:
             self._undetected_failure_at = self.system.sim.now
@@ -474,7 +473,7 @@ class RecoveryInvariantAuditor(KernelListener):
     def _audit_detection_window(self, record: RecoveryRecord) -> None:
         """Judge the pending quiet-cluster failure, if any, then restart
         ``_maybe_down`` from the machines this recovery left down."""
-        if self._detection_window is None:
+        if self.detection_window is None:
             return
         self._maybe_down = {
             machine.rank
@@ -485,7 +484,7 @@ class RecoveryInvariantAuditor(KernelListener):
         if failed_at is None:
             return
         self._undetected_failure_at = None
-        earliest, latest = self._detection_window
+        earliest, latest = self.detection_window
         delay = record.detected_at - failed_at
         if not earliest - _TOL <= delay <= latest + _TOL:
             self._report(

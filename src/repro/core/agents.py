@@ -1,4 +1,5 @@
-"""GEMINI worker and root agents (paper Section 3.2).
+"""GEMINI worker and root agents (paper Section 3.2), and the kernel's
+:class:`FailureDetector`, which runs them or a fixed-delay stand-in.
 
 Every training machine runs a *worker agent* that heartbeats its health
 into the distributed KV store under a TTL lease; the machine is presumed
@@ -34,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
+from repro.failures.types import FailureEvent, FailureType
 from repro.kvstore import Election, KeptLease, KVStore
 from repro.sim import Simulator
 
@@ -241,10 +243,12 @@ class WorkerAgent:
 
 @dataclass
 class DetectedFailure:
-    """What the root agent's scan observed."""
+    """What a detector saw; a root agent's scan leaves the time and type ``None``."""
 
     detected_at: float
     missing_ranks: List[int]
+    failure_time: Optional[float] = None
+    failure_type: Optional[FailureType] = None
 
 
 class RootAgent:
@@ -379,3 +383,82 @@ class RootAgent:
                 DetectedFailure(detected_at=self.sim.now, missing_ranks=missing)
             )
         return bool(absent) or self._plane.expiring()
+
+
+# ------------------------------------------------------------------- detector
+
+
+class FailureDetector:
+    """The kernel's failure detection, the same for every policy.
+
+    With ``use_agents`` every machine runs a worker and a root agent over
+    one KV store and root election; the leader's scans detect (§3.2).
+    Without, each failure is detected ``cost_model.detection_delay``
+    later, with its time, its type and the ranks down when it struck.
+    A detection firing while a recovery runs starts nothing.
+    """
+
+    def __init__(self, kernel, use_agents: bool, heartbeat_interval: float, lease_ttl: float):
+        self.kernel = kernel
+        self.use_agents = use_agents
+        self.heartbeat_interval = heartbeat_interval
+        self.lease_ttl = lease_ttl
+        self.worker_agents: Dict[int, WorkerAgent] = {}
+        self.root_agents: Dict[int, RootAgent] = {}
+        #: (instant, ranks down then) of the last failure: one per instant.
+        self._struck: Tuple[float, List[int]] = (math.nan, [])
+        if use_agents:
+            self.kvstore = KVStore(kernel.sim)
+            self.election = Election(self.kvstore, ROOT_ELECTION_KEY)
+            for rank in range(kernel.cluster.size):
+                self.spawn(rank)
+
+    def spawn(self, rank: int) -> None:
+        kernel = self.kernel
+        args = (kernel.sim, self.kvstore, kernel.cluster, rank)
+        self.worker_agents[rank] = WorkerAgent(
+            *args, self.heartbeat_interval, self.lease_ttl
+        )
+        self.root_agents[rank] = RootAgent(
+            *args, self.election, kernel.begin_recovery,
+            self.heartbeat_interval, self.lease_ttl,
+        )
+
+    @property
+    def leader_rank(self) -> Optional[int]:
+        """Rank of the current root-agent leader (``None`` without agents)."""
+        for rank, agent in self.root_agents.items():
+            if agent.is_leader:
+                return rank
+        return None
+
+    def on_failure(self, event: FailureEvent) -> None:
+        if self.use_agents:
+            return  # lease expiry drives detection ~15 s later
+        kernel = self.kernel
+        at, ranks = self._struck
+        if at != kernel.sim.now:
+            ranks = []
+            self._struck = (kernel.sim.now, ranks)
+        ranks[:] = kernel.cluster.unhealthy_ranks()
+        kernel.sim.call_after(
+            kernel.cost_model.detection_delay,
+            lambda: kernel.begin_recovery(
+                DetectedFailure(kernel.sim.now, ranks, event.time, event.failure_type)
+            ),
+        )
+
+    def after_pass(self, failed_ranks: List[int]) -> None:
+        """Fresh agents for every healthy rank whose worker lease is gone;
+        the pass's ranks may be detected again."""
+        cluster = self.kernel.cluster
+        for rank, worker in list(self.worker_agents.items()):
+            lease = worker.lease
+            if (lease is None or not lease.alive) and cluster.machine(rank).is_healthy:
+                self.spawn(rank)
+        self.mark_handled(failed_ranks)
+
+    def mark_handled(self, ranks: List[int]) -> None:
+        """Recovery finished for ``ranks``: scans may report them again."""
+        for agent in self.root_agents.values():
+            agent.mark_handled(ranks)

@@ -15,16 +15,17 @@ The **kernel** owns everything every policy shares:
 - the simulator, clock-bound observability, deterministic RNG streams;
 - the cluster, cloud operator (replacement/standby), persistent store;
 - the training controller (iteration ticks, abort-on-failure, resume);
-- failure intake (trace/obs bookkeeping, training abort) and the
-  recovery process lifecycle (:meth:`begin_recovery`);
+- failure intake (trace/obs bookkeeping, training abort), detection
+  (:mod:`repro.core.agents`: the Section 3.2 agents or a fixed delay)
+  and the recovery process lifecycle (:meth:`begin_recovery`);
 - the persistent-checkpoint tick loop (when the policy wants one);
 - :class:`SystemResult` assembly and end-of-run metric gauges.
 
 The **policy** owns what differs between checkpointing strategies: which
-substrate it needs (CPU-memory stores, agents, fabric for GEMINI —
-nothing for the remote-storage baselines), what happens at each iteration
-boundary, how a persistent tick proceeds, how failures are detected, and
-how a recovery is planned and executed.
+substrate it needs (CPU-memory stores and fabric for GEMINI — nothing
+for the remote-storage baselines), what happens at each iteration
+boundary, how a persistent tick proceeds, and how a recovery is planned
+and executed.
 
 Fidelity split (see DESIGN.md): iteration *interference* is simulated at
 chunk granularity by :mod:`repro.core.interleave` on a representative
@@ -44,6 +45,8 @@ from repro.cluster.catalog import ClusterSpec
 from repro.cluster.cluster import Cluster
 from repro.cluster.instances import InstanceType
 from repro.cluster.machine import MachineState
+from repro.core.agents import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TTL
+from repro.core.agents import DetectedFailure, FailureDetector
 from repro.core.recovery import RecoveryCostModel, RecoveryPlan, RecoveryRecord
 from repro.failures.types import FailureEvent
 from repro.obs import NULL_OBSERVABILITY, Observability
@@ -163,15 +166,15 @@ class CheckpointPolicy(abc.ABC):
     through the hooks below.  Hook order per run:
 
     1. :meth:`configure` — derive timings/placement from the workload;
-    2. :meth:`build` — create policy substrate (stores, agents, fabric);
+    2. :meth:`build` — create policy substrate (stores, fabric);
     3. :meth:`on_start` — establish the initial durable state;
     4. per completed iteration: :meth:`on_iteration` (a generator — it
        may yield simulator events, e.g. a torch.save stall);
     5. per persistent tick (only when :attr:`persistent_interval` is not
        ``None``): :meth:`on_persistent_tick`;
     6. per failure: :meth:`on_failure` (before the training abort),
-       :meth:`after_failure` (after it — schedule detection here);
-    7. per recovery: :meth:`recover`, a generator that drives the whole
+       :meth:`after_failure` (after it);
+    7. per detection: :meth:`recover`, a generator that drives the whole
        recovery and typically consults :meth:`plan_recovery`;
     8. :meth:`finalize` — end-of-run metric export.
 
@@ -197,6 +200,12 @@ class CheckpointPolicy(abc.ABC):
     #: replays the gradient points through :meth:`fast_forward`.
     gradient_phase_fraction: Optional[float] = None
 
+    #: the kernel's detector for this policy: the Section 3.2 agent plane
+    #: with these timings, or (False) ``cost_model.detection_delay``.
+    use_agents: bool = False
+    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
+    lease_ttl: float = DEFAULT_LEASE_TTL
+
     kernel: "SimulatedTrainingSystem"
 
     def bind(self, kernel: "SimulatedTrainingSystem") -> None:
@@ -212,7 +221,7 @@ class CheckpointPolicy(abc.ABC):
         """Derive workload-dependent parameters (timings, placement)."""
 
     def build(self) -> None:
-        """Create the policy's substrate (stores, agents, fabric...)."""
+        """Create the policy's substrate (stores, fabric...)."""
 
     def on_start(self) -> None:
         """Establish the initial durable state (e.g. commit iteration 0)."""
@@ -289,15 +298,17 @@ class CheckpointPolicy(abc.ABC):
         """Failure bookkeeping applied *before* the training abort."""
 
     def after_failure(self, event: FailureEvent) -> None:
-        """Detection scheduling applied *after* the training abort."""
+        """Failure bookkeeping applied *after* the training abort."""
 
     @abc.abstractmethod
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
         """Decide every rank's retrieval source and rollback iteration."""
 
     @abc.abstractmethod
-    def recover(self, trigger) -> Iterator[Event]:
-        """Drive one full recovery (generator; kernel clears flags after)."""
+    def recover(self, detected: DetectedFailure) -> Iterator[Event]:
+        """Drive one full recovery (generator; kernel clears flags after),
+        calling ``kernel.record_recovery`` after each pass and
+        ``kernel.redetect`` for failures that landed during it."""
 
     @abc.abstractmethod
     def timings(
@@ -456,6 +467,8 @@ class SimulatedTrainingSystem:
         # exists everywhere (persistent tier + whatever the policy hosts).
         policy.bind(self)
         policy.build()
+        #: detects failures and hands them to ``policy.recover``.
+        self.detector = self._detector()
         for rank in range(num_machines):
             self.persistent.put_shard(rank, 0)
         policy.on_start()
@@ -463,6 +476,11 @@ class SimulatedTrainingSystem:
         self.sim.process(self._training_controller(), name="job-controller")
         if policy.persistent_interval is not None:
             self.sim.process(self._persistent_loop(), name="persistent-ckpt")
+
+    def _detector(self) -> FailureDetector:
+        """The detector the policy asks for (a subclass may build another)."""
+        p = self.policy
+        return FailureDetector(self, p.use_agents, p.heartbeat_interval, p.lease_ttl)
 
     # ----------------------------------------------------------------- listeners
 
@@ -599,8 +617,8 @@ class SimulatedTrainingSystem:
 
     def inject_failure(self, event: FailureEvent) -> None:
         """Handler for failure injectors: training stops immediately; the
-        policy's detection model (agents' lease expiry, or a fixed delay)
-        drives *detection* afterwards."""
+        kernel's detector (agents' lease expiry, or a fixed delay) drives
+        *detection* afterwards."""
         # Iterations that completed before this failure must be on the
         # books before anything reads job state (the failed machines
         # were marked down by the injector *before* this call, hence
@@ -630,38 +648,44 @@ class SimulatedTrainingSystem:
         if self._training_abort is not None and not self._training_abort._resolved:
             self._training_abort.succeed(event)
         self.policy.after_failure(event)
+        self.detector.on_failure(event)
         for listener in self._listeners:
             listener.on_failure_injected(event)
 
-    def begin_recovery(self, trigger) -> None:
-        """Spawn the policy's recovery process unless one is running.
-
-        ``trigger`` is whatever the policy's detection model produces (a
-        :class:`DetectedFailure` for agent-based detection, the raw
-        :class:`FailureEvent` for inline-delay detection) and is passed
-        through to :meth:`CheckpointPolicy.recover`.
-        """
+    def begin_recovery(self, detected: DetectedFailure) -> None:
+        """The detector's call: spawn ``policy.recover(detected)`` unless a
+        recovery is running."""
         if self._recovery_active or self._stopped:
             return
         self._recovery_active = True
         if self._recovery_done is None or self._recovery_done.triggered:
             self._recovery_done = self.sim.event(name="recovery-done")
-        self.sim.process(self._run_recovery(trigger), name="recovery")
+        self.sim.process(self._run_recovery(detected), name="recovery")
+
+    def redetect(self):
+        """Failures that landed in a recovery pass (generator): the ranks down
+        now, after a fixed ``detection_delay`` (in agent mode too), or ``None``."""
+        missing = self.cluster.unhealthy_ranks()
+        if not missing:
+            return None
+        failed_at = self.sim.now
+        yield self.sim.timeout(self.cost_model.detection_delay)
+        return DetectedFailure(self.sim.now, missing, failure_time=failed_at)
 
     def record_recovery(self, record: RecoveryRecord) -> None:
-        """Append a finalized :class:`RecoveryRecord` and notify listeners.
+        """Close a recovery pass: respawn agents, append ``record``, notify.
 
         Policies call this at the moment the record is complete and the
         job state has been rolled back, so listeners observe a consistent
         snapshot (committed/current iteration already reflect the
-        recovery).  Notification is synchronous and read-only; it
-        schedules nothing.
+        recovery).  Notification is synchronous and read-only.
         """
+        self.detector.after_pass(record.failed_ranks)
         self.recoveries.append(record)
         for listener in self._listeners:
             listener.on_recovery_complete(record)
 
-    def _run_recovery(self, trigger):
+    def _run_recovery(self, detected: DetectedFailure):
         # The finally block keeps the kernel recoverable even when the
         # policy's recover() dies mid-flight (e.g. an undefused
         # TransferAborted): the flag is released and waiters are woken,
@@ -673,7 +697,8 @@ class SimulatedTrainingSystem:
         # and keep the whole system alive until another full collection.
         closed = False
         try:
-            yield from self.policy.recover(trigger)
+            yield from self.policy.recover(detected)
+            self.detector.mark_handled(detected.missing_ranks)
         except GeneratorExit:
             closed = True
             raise

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from repro.core.recovery import RetrievalSource, ShardRetrieval
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 
 class PlacementStrategy(enum.Enum):
@@ -62,11 +59,6 @@ class Placement:
     #: Derived once here so ``hosted_by`` is O(hosted) instead of O(N).
     _hosted: Dict[int, Tuple[int, ...]] = field(
         init=False, repr=False, compare=False
-    )
-    #: retrieval source -> one immutable retrieval per rank, filled lazily
-    #: by ``repro.core.recovery.uniform_retrievals``.
-    _uniform_retrievals: Dict[RetrievalSource, Tuple[ShardRetrieval, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self):

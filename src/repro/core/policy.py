@@ -1,11 +1,11 @@
-"""GEMINI's checkpoint policy: CPU-memory replicas, agents, fast recovery.
+"""GEMINI's checkpoint policy: CPU-memory replicas and fast recovery.
 
 This is the paper's system expressed as a :class:`CheckpointPolicy` for
 the simulation kernel.  It owns everything GEMINI-specific: the shard
-placement (Algorithm 1), per-machine CPU-memory stores, the worker/root
-agents over the KV store (or the lightweight fixed-delay detection
-stand-in), the training fabric used for recovery transfers, and the
-tiered recovery planner/executor of Section 6.
+placement (Algorithm 1), per-machine CPU-memory stores, the training
+fabric used for recovery transfers, and the tiered recovery
+planner/executor of Section 6.  The kernel detects failures (§3.2);
+:class:`GeminiConfig` picks the detector and its timings.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.core.agents import ROOT_ELECTION_KEY, DetectedFailure, RootAgent, WorkerAgent
+from repro.core.agents import DetectedFailure
 from repro.core.kernel import CheckpointPolicy
 from repro.core.placement import Placement, PlacementStrategy, resolve_placement
 from repro.core.recovery import (
@@ -26,7 +26,6 @@ from repro.core.recovery import (
 )
 from repro.cluster.machine import MachineState
 from repro.failures.types import FailureEvent, FailureType
-from repro.kvstore import Election, KVStore
 from repro.network.fabric import Fabric, TransferAborted
 from repro.storage.cpu_memory import CPUCheckpointStore, StorePlane
 from repro.trace import TraceKind
@@ -48,14 +47,14 @@ class GeminiConfig:
     lease_ttl: float = 15.0
     seed: int = 0
     cost_model: RecoveryCostModel = field(default_factory=RecoveryCostModel)
-    #: True (the ``GeminiSystem`` default): every machine runs a worker
-    #: agent (heartbeats under a TTL lease) and a root agent (health scans,
-    #: a candidacy in the shared root election) over the KV store, so a
-    #: failure is detected at the first leader scan after its lease
-    #: expires (§3.2).  Healthy heartbeats and empty scans are analytic,
-    #: so agents add events only around failures and leader changes.
-    #: False: no agents; detection fires ``cost_model.detection_delay``
-    #: after the failure.  Sweeps and chaos campaigns default to False.
+    #: The kernel's detector.  True (the ``GeminiSystem`` default): the
+    #: kernel runs a worker agent (heartbeats) and a root agent (scans, a
+    #: root candidacy) on every machine, so a failure is detected at the
+    #: first leader scan after its lease expires (§3.2).  Healthy beats
+    #: and empty scans are analytic: agents add events only around
+    #: failures and leader changes.  False: no agents; detection fires
+    #: ``cost_model.detection_delay`` after the failure.  Sweeps and chaos
+    #: campaigns default to False.
     use_agents: bool = True
     #: replica placement: "mixed" (paper Algorithm 1, the default),
     #: "group", "ring", or "topology" (fault-domain-interleaved mixed —
@@ -103,12 +102,14 @@ class GeminiPolicy(CheckpointPolicy):
         self.placement: Optional[Placement] = placement
         self.stores: Dict[int, CPUCheckpointStore] = {}
         self.plane = StorePlane()
-        self.worker_agents: Dict[int, WorkerAgent] = {}
-        self.root_agents: Dict[int, RootAgent] = {}
 
     @property
     def persistent_interval(self) -> float:
         return self.config.persistent_interval
+
+    use_agents = property(lambda self: self.config.use_agents)
+    heartbeat_interval = property(lambda self: self.config.heartbeat_interval)
+    lease_ttl = property(lambda self: self.config.lease_ttl)
 
     # ------------------------------------------------------------------- setup
 
@@ -122,7 +123,6 @@ class GeminiPolicy(CheckpointPolicy):
 
     def build(self) -> None:
         kernel = self.kernel
-        self.kvstore = KVStore(kernel.sim)
         spec = kernel.cluster_spec
         topology = spec.build_topology() if spec is not None else None
         self.fabric = Fabric(kernel.sim, obs=kernel.obs, topology=topology)
@@ -141,42 +141,8 @@ class GeminiPolicy(CheckpointPolicy):
                 store.host_shard(owner, shard)
             self.stores[machine.rank] = store
 
-        # Agents (or the lightweight fixed-delay detection stand-in).
-        if self.config.use_agents:
-            self.root_election = Election(self.kvstore, ROOT_ELECTION_KEY)
-            for machine in kernel.cluster:
-                self._spawn_agents(machine.rank)
-
     def on_start(self) -> None:
         self.commit_checkpoint(0)
-
-    def _spawn_agents(self, rank: int) -> None:
-        kernel = self.kernel
-        self.worker_agents[rank] = WorkerAgent(
-            kernel.sim,
-            self.kvstore,
-            kernel.cluster,
-            rank,
-            heartbeat_interval=self.config.heartbeat_interval,
-            lease_ttl=self.config.lease_ttl,
-        )
-        self.root_agents[rank] = RootAgent(
-            kernel.sim,
-            self.kvstore,
-            kernel.cluster,
-            rank,
-            election=self.root_election,
-            on_failure_detected=kernel.begin_recovery,
-            scan_interval=self.config.heartbeat_interval,
-            lease_ttl=self.config.lease_ttl,
-        )
-
-    @property
-    def leader_rank(self) -> Optional[int]:
-        for rank, agent in self.root_agents.items():
-            if agent.is_leader:
-                return rank
-        return None
 
     # ------------------------------------------------------------------ training
 
@@ -330,19 +296,6 @@ class GeminiPolicy(CheckpointPolicy):
             if machine.state == MachineState.FAILED:
                 self.fabric.detach(machine.machine_id)
 
-    def after_failure(self, event: FailureEvent) -> None:
-        if self.config.use_agents:
-            return  # agents' lease expiry drives detection ~15 s later
-        kernel = self.kernel
-        ranks = list(event.ranks)
-        delay = kernel.cost_model.detection_delay
-        kernel.sim.call_after(
-            delay,
-            lambda: kernel.begin_recovery(
-                DetectedFailure(detected_at=kernel.sim.now, missing_ranks=ranks)
-            ),
-        )
-
     # ------------------------------------------------------------------ recovery
 
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
@@ -361,7 +314,6 @@ class GeminiPolicy(CheckpointPolicy):
     def recover(self, detected: DetectedFailure) -> Iterator:
         kernel = self.kernel
         cost = kernel.cost_model
-        initially_missing = list(detected.missing_ranks)
         cluster = kernel.cluster
         while True:
             failed_hw = cluster.failed_ranks()
@@ -444,7 +396,7 @@ class GeminiPolicy(CheckpointPolicy):
             yield kernel.sim.timeout(cost.restart_warmup)
             record.resumed_at = kernel.sim.now
 
-            # Re-seed stores/agents and roll back the job state.  The
+            # Re-seed stores and roll back the job state.  The
             # rollback is applied *before* record_recovery so listeners
             # observe committed/current already reflecting the recovery
             # (trace order — ROLLBACK then RESUME — is unchanged).
@@ -460,27 +412,15 @@ class GeminiPolicy(CheckpointPolicy):
                 )
             kernel.record_recovery(record)
             kernel.emit_recovery_telemetry(record)
-            for agent in self.root_agents.values():
-                agent.mark_handled(record.failed_ranks)
             kernel.trace.record(
                 kernel.sim.now,
                 TraceKind.RESUME,
                 overhead=round(record.total_overhead, 3),
             )
             # Loop again if new failures arrived during recovery.
-            still_broken = cluster.unhealthy_ranks()
-            if not still_broken:
+            detected = yield from kernel.redetect()
+            if detected is None:
                 break
-            detected = DetectedFailure(
-                detected_at=kernel.sim.now + cost.detection_delay,
-                missing_ranks=still_broken,
-            )
-            yield kernel.sim.timeout(cost.detection_delay)
-
-        # Detection bookkeeping: the handled ranks become observable again
-        # (their fresh agents heartbeat, or a later scan re-detects them).
-        for agent in self.root_agents.values():
-            agent.mark_handled(initially_missing)
 
     def _execute_retrievals(self, plan: RecoveryPlan, cost: RecoveryCostModel):
         """Run the retrieval phase: fabric flows for remote-CPU fetches,
@@ -542,7 +482,6 @@ class GeminiPolicy(CheckpointPolicy):
         """After recovery every healthy machine's hosted shards hold the
         rollback iteration (replacements received them; survivors kept
         theirs)."""
-        kernel = self.kernel
         rollback = plan.rollback_iteration
         if rollback is None:
             return
@@ -554,14 +493,6 @@ class GeminiPolicy(CheckpointPolicy):
             if store.valid:
                 store.settle_at_rollback(rollback)
                 store.rejoin()
-        # Respawn agents for every rank whose worker lease is gone.
-        if not self.config.use_agents:
-            return
-        for rank in range(kernel.cluster.size):
-            agent = self.worker_agents.get(rank)
-            lease_dead = agent is None or agent.lease is None or not agent.lease.alive
-            if lease_dead and kernel.cluster.machine(rank).is_healthy:
-                self._spawn_agents(rank)
 
     # ------------------------------------------------------------------- analytic
 

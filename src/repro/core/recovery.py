@@ -22,6 +22,7 @@ must fall back to persistent storage for consistency).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Tuple
 
@@ -78,22 +79,21 @@ class UnrecoverableError(RuntimeError):
     """No complete checkpoint exists anywhere (not even persistent)."""
 
 
+@functools.lru_cache(maxsize=None)
+def _uniform(num_machines: int, source: RetrievalSource) -> Tuple[ShardRetrieval, ...]:
+    return tuple(ShardRetrieval(rank=rank, source=source) for rank in range(num_machines))
+
+
 def uniform_retrievals(
     placement: Placement, source: RetrievalSource
 ) -> List[ShardRetrieval]:
     """A fresh list of one ``source`` retrieval per rank.
 
-    The retrievals themselves are immutable, so each placement builds the
-    tuple for a source once and every plan gets its own list copy.
+    The retrievals are immutable and depend only on the cluster size, so
+    every placement of that size shares one tuple per source and every
+    plan gets its own list copy.
     """
-    shared = placement._uniform_retrievals.get(source)
-    if shared is None:
-        shared = tuple(
-            ShardRetrieval(rank=rank, source=source)
-            for rank in range(placement.num_machines)
-        )
-        placement._uniform_retrievals[source] = shared
-    return list(shared)
+    return list(_uniform(placement.num_machines, source))
 
 
 def plan_recovery(

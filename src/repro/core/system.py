@@ -3,11 +3,11 @@
 The cluster-level event loop (iteration ticks, failure delivery, machine
 replacement, recovery lifecycle, obs instrumentation) lives in
 :class:`repro.core.kernel.SimulatedTrainingSystem`; GEMINI's checkpoint
-behavior (placement, CPU-memory stores, worker/root agents, tiered
-recovery) lives in :class:`repro.core.policy.GeminiPolicy`.  This module
-keeps the original public API: ``GeminiSystem(model, instance, N,
-config=...)`` builds the kernel with a GEMINI policy; its substrate
-(placement, stores, agents) lives on ``system.policy``.
+behavior (placement, CPU-memory stores, tiered recovery) lives in
+:class:`repro.core.policy.GeminiPolicy`.  This module keeps the original
+public API: ``GeminiSystem(model, instance, N, config=...)`` builds the
+kernel with a GEMINI policy; its substrate (placement, stores) lives on
+``system.policy`` and the worker/root agents on ``system.detector``.
 
 ``GeminiConfig`` and ``SystemResult`` are re-exported here for
 compatibility — most call sites import them from this module.
@@ -61,4 +61,4 @@ class GeminiSystem(SimulatedTrainingSystem):
     @property
     def leader_rank(self) -> Optional[int]:
         """Rank of the current root-agent leader (``None`` without agents)."""
-        return self.policy.leader_rank
+        return self.detector.leader_rank

@@ -115,6 +115,17 @@ def policy_timings(name: str, spec, plan, **kwargs):
 # --------------------------------------------------------------- built-ins
 
 
+def _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs):
+    from repro.core.policy import GeminiConfig
+
+    return GeminiConfig(
+        num_replicas=num_replicas,
+        persistent_bandwidth=persistent_bandwidth,
+        use_agents=use_agents,
+        **config_kwargs,
+    )
+
+
 @register_policy("gemini")
 def build_gemini(
     num_replicas: int = 2,
@@ -131,19 +142,16 @@ def build_gemini(
     kernel's cost model.  Extra keyword arguments flow into
     :class:`repro.core.policy.GeminiConfig`.
     """
-    from repro.core.policy import GeminiConfig, GeminiPolicy
+    from repro.core.policy import GeminiPolicy
 
-    config = GeminiConfig(
-        num_replicas=num_replicas,
-        persistent_bandwidth=persistent_bandwidth,
-        use_agents=use_agents,
-        **config_kwargs,
-    )
+    config = _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs)
     return GeminiPolicy(config, placement=placement)
 
 
-def _build_persistent_only(cls, persistent_bandwidth, serialization):
-    return cls(persistent_bandwidth=persistent_bandwidth, serialization=serialization)
+def _build_persistent_only(cls, persistent_bandwidth, serialization, use_agents):
+    policy = cls(persistent_bandwidth=persistent_bandwidth, serialization=serialization)
+    policy.use_agents = bool(use_agents)
+    return policy
 
 
 @register_policy("strawman")
@@ -155,13 +163,13 @@ def build_strawman(
 ):
     """Strawman baseline: persistent checkpoint every 3 hours (BLOOM).
 
-    ``num_replicas``/``use_agents`` are accepted for registry uniformity
-    and ignored: the remote-storage baselines keep exactly one remote
-    copy and already detect failures with a fixed delay (no agents).
+    ``num_replicas`` is accepted for registry uniformity and ignored (one
+    remote copy).  ``use_agents`` picks the kernel's detector as for
+    GEMINI, with the :mod:`repro.core.agents` default lease timings.
     """
     from repro.baselines.system import StrawmanPolicy
 
-    return _build_persistent_only(StrawmanPolicy, persistent_bandwidth, serialization)
+    return _build_persistent_only(StrawmanPolicy, persistent_bandwidth, serialization, use_agents)
 
 
 @register_policy("highfreq")
@@ -173,19 +181,18 @@ def build_highfreq(
 ):
     """HighFreq baseline: persistent checkpoints as fast as the pipe allows.
 
-    See :func:`build_strawman` for the ignored uniformity knobs.
+    See :func:`build_strawman` for ``num_replicas`` and ``use_agents``.
     """
     from repro.baselines.system import HighFreqPolicy
 
-    return _build_persistent_only(HighFreqPolicy, persistent_bandwidth, serialization)
+    return _build_persistent_only(HighFreqPolicy, persistent_bandwidth, serialization, use_agents)
 
 
 # ---------------------------------------------------------------- frontier
 
-# The frontier policies subclass GeminiPolicy but run without agents:
-# their hooks (gradient-phase commits, SSD loops, custom placement) are
-# exercised under fixed-delay detection, keeping the comparison against
-# GEMINI about the checkpointing mechanism rather than failure detection.
+# The frontier policies subclass GeminiPolicy and default to fixed-delay
+# detection.  The kernel runs one detector for every policy, so with or
+# without agents a comparison is about the checkpointing mechanism.
 
 
 @register_policy("checkmate")
@@ -201,15 +208,9 @@ def build_checkmate(
     """Checkmate: per-iteration replication on the gradient traffic
     (arXiv 2507.13522); rollback never exceeds the iteration in flight.
     """
-    from repro.core.policy import GeminiConfig
     from repro.frontier.checkmate import CheckmatePolicy
 
-    config = GeminiConfig(
-        num_replicas=num_replicas,
-        persistent_bandwidth=persistent_bandwidth,
-        use_agents=use_agents,
-        **config_kwargs,
-    )
+    config = _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs)
     policy = CheckmatePolicy(config, placement=placement)
     if gradient_phase_fraction is not None:
         policy.gradient_phase_fraction = gradient_phase_fraction
@@ -231,19 +232,13 @@ def build_tiercheck(
     (arXiv 2605.17821) with a pooled NVMe tier between CPU memory and
     persistent storage.
     """
-    from repro.core.policy import GeminiConfig
     from repro.frontier.tiercheck import (
         DEFAULT_SSD_INTERVAL,
         TierCheckPolicy,
     )
     from repro.storage.ssd import DEFAULT_SSD_BANDWIDTH
 
-    config = GeminiConfig(
-        num_replicas=num_replicas,
-        persistent_bandwidth=persistent_bandwidth,
-        use_agents=use_agents,
-        **config_kwargs,
-    )
+    config = _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs)
     return TierCheckPolicy(
         config,
         placement=placement,
@@ -269,15 +264,9 @@ def build_sparse_moe(
     """Sparse-MoE checkpointing (arXiv 2412.15411): only the experts an
     iteration updated re-replicate; GEMINI semantics, sparse traffic.
     """
-    from repro.core.policy import GeminiConfig
     from repro.frontier.sparse_moe import SparseMoEPolicy
 
-    config = GeminiConfig(
-        num_replicas=num_replicas,
-        persistent_bandwidth=persistent_bandwidth,
-        use_agents=use_agents,
-        **config_kwargs,
-    )
+    config = _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs)
     return SparseMoEPolicy(
         config,
         placement=placement,
@@ -302,15 +291,9 @@ def build_reft(
     placement follows the TP x PP x DP grid so every replica lands on a
     data-parallel peer.
     """
-    from repro.core.policy import GeminiConfig
     from repro.frontier.reft import ReftPolicy
 
-    config = GeminiConfig(
-        num_replicas=num_replicas,
-        persistent_bandwidth=persistent_bandwidth,
-        use_agents=use_agents,
-        **config_kwargs,
-    )
+    config = _gemini_config(num_replicas, persistent_bandwidth, use_agents, config_kwargs)
     return ReftPolicy(
         config,
         placement=placement,

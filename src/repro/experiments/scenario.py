@@ -16,10 +16,9 @@ is the same scenario with the recovery invariant auditor attached:
 :class:`repro.chaos.scenario.ChaosScenario` subclasses this one and adds
 only its defaults, the auditor and the audit columns.
 
-Scenarios run in lightweight-detection mode by default (``use_agents``
-defaults to ``False`` unless overridden via ``policy_kwargs``) so
-multi-day sweeps stay fast; the remote-storage baselines ignore the knob
-— they have no agents either way.
+Scenarios run the kernel's fixed-delay detector by default (``use_agents``
+defaults to ``False`` unless overridden via ``policy_kwargs``, for every
+policy) so multi-day sweeps stay fast.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.baselines.policies import PolicyTimings
-from repro.core.policy import GeminiConfig, GeminiPolicy
+from repro.core.policy import GeminiPolicy
 from repro.training.states import ShardingSpec
 from repro.training.timeline import IterationPlan
 
@@ -71,13 +71,6 @@ class CheckmatePolicy(GeminiPolicy):
 
     name = "checkmate"
     gradient_phase_fraction = DEFAULT_GRADIENT_PHASE_FRACTION
-
-    def __init__(self, config: Optional[GeminiConfig] = None, placement=None):
-        super().__init__(config, placement=placement)
-        if self.config.use_agents:
-            raise ValueError(
-                "checkmate uses fixed-delay detection; agents are unsupported"
-            )
 
     # ------------------------------------------------------------------ training
 

@@ -112,10 +112,6 @@ class ReftPolicy(GeminiPolicy):
         pipeline_parallel: int = 2,
     ):
         super().__init__(config, placement=placement)
-        if self.config.use_agents:
-            raise ValueError(
-                "reft uses fixed-delay detection; agents are unsupported"
-            )
         self.tensor_parallel = tensor_parallel
         self.pipeline_parallel = pipeline_parallel
 

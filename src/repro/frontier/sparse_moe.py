@@ -80,10 +80,6 @@ class SparseMoEPolicy(GeminiPolicy):
         expert_update_period: int = 4,
     ):
         super().__init__(config, placement=placement)
-        if self.config.use_agents:
-            raise ValueError(
-                "sparse_moe uses fixed-delay detection; agents are unsupported"
-            )
         self._num_experts = num_experts
         self._expert_param_fraction = expert_param_fraction
         self._expert_update_period = expert_update_period

@@ -94,10 +94,6 @@ class TierCheckPolicy(GeminiPolicy):
         ssd_read_latency: float = DEFAULT_SSD_READ_LATENCY,
     ):
         super().__init__(config, placement=placement)
-        if self.config.use_agents:
-            raise ValueError(
-                "tiercheck uses fixed-delay detection; agents are unsupported"
-            )
         if ssd_interval <= 0:
             raise ValueError(f"ssd_interval must be > 0, got {ssd_interval}")
         self.ssd_interval = ssd_interval

@@ -39,7 +39,6 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.export import (
@@ -853,6 +852,10 @@ class MetricsServer:
         port: int = 0,
         host: str = "127.0.0.1",
     ):
+        # Imported here: only --serve-metrics needs it, and it costs every
+        # importer of the obs package http, socketserver, email and ssl.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         if callable(source):
             render = source
         elif isinstance(source, FleetAggregator):

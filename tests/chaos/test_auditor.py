@@ -192,7 +192,7 @@ class TestDetectionWindow:
         failures = [
             FailureEvent(1003.0, FailureType.HARDWARE, [3]),
             FailureEvent(1 * HOUR + 1.5, FailureType.SOFTWARE, [5]),
-            FailureEvent(2 * HOUR, FailureType.HARDWARE, [system.policy.leader_rank]),
+            FailureEvent(2 * HOUR, FailureType.HARDWARE, [system.detector.leader_rank]),
         ]
         TraceFailureInjector(
             system.sim, system.cluster, list(failures), system.inject_failure

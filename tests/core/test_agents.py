@@ -167,7 +167,7 @@ class TestSharedRootElection:
         system = GeminiSystem(
             GPT2_100B, P4D_24XLARGE, 8, config=GeminiConfig(num_standby=1)
         )
-        store = system.policy.kvstore
+        store = system.detector.kvstore
         assert len(store._watches) == 1
         TraceFailureInjector(
             system.sim,
@@ -179,5 +179,6 @@ class TestSharedRootElection:
         assert len(result.recoveries) == 1
         assert system.leader_rank == 1
         assert len(store._watches) == 1
-        elections = {id(agent.election) for agent in system.policy.root_agents.values()}
-        assert elections == {id(system.policy.root_election)}
+        plane = system.detector
+        elections = {id(agent.election) for agent in plane.root_agents.values()}
+        assert elections == {id(plane.election)}

@@ -10,10 +10,10 @@ in this file.
 
 Two comparisons:
 
-- *System twin.*  The same failure schedule runs through ``GeminiPolicy``
-  (analytic agents, macro ticks on) and through a subclass that spawns
-  the materialized agents and steps every iteration, as agent mode did
-  before leases went analytic.  ``dataclasses.asdict(SystemResult)``,
+- *System twin.*  The same failure schedule runs through the kernel's
+  ``FailureDetector`` (analytic agents, macro ticks on) and through a
+  kernel whose detector spawns the materialized agents and which steps
+  every iteration, as agent mode did before leases went analytic.  ``dataclasses.asdict(SystemResult)``,
   the full trace JSONL and ``leader_rank`` at every recovery and at the
   end must be identical.
 - *Agent twin.*  Bare agents on a bare simulator, driven by the same
@@ -54,6 +54,7 @@ from repro.core.agents import (
     HEALTH_PREFIX,
     ROOT_ELECTION_KEY,
     DetectedFailure,
+    FailureDetector,
     RootAgent,
     WorkerAgent,
 )
@@ -173,42 +174,49 @@ class MaterializedRootAgent:
             )
 
 
-class MaterializedGeminiPolicy(GeminiPolicy):
-    """Agent-mode GEMINI as it ran with materialized heartbeats: the
-    chained loops above, and no macro ticks."""
+class MaterializedDetector(FailureDetector):
+    """The kernel's agent-mode detector spawning the chained loops above."""
 
-    def _spawn_agents(self, rank: int) -> None:
+    def spawn(self, rank: int) -> None:
         kernel = self.kernel
         self.worker_agents[rank] = MaterializedWorkerAgent(  # type: ignore[assignment]
             kernel.sim, self.kvstore, kernel.cluster, rank,
-            self.config.heartbeat_interval, self.config.lease_ttl,
+            self.heartbeat_interval, self.lease_ttl,
         )
         self.root_agents[rank] = MaterializedRootAgent(  # type: ignore[assignment]
-            kernel.sim, self.kvstore, kernel.cluster, rank, self.root_election,
-            kernel.begin_recovery, self.config.heartbeat_interval,
-            self.config.lease_ttl,
+            kernel.sim, self.kvstore, kernel.cluster, rank, self.election,
+            kernel.begin_recovery, self.heartbeat_interval, self.lease_ttl,
         )
 
-    def coalesce_iterations(self, start: int) -> int:
-        return 0
+
+class MaterializedSystem(SimulatedTrainingSystem):
+    """Agent mode as it ran with materialized heartbeats: the chained
+    loops above, and no macro ticks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, macro_ticks=False, **kwargs)
+
+    def _detector(self):
+        policy = self.policy
+        return MaterializedDetector(
+            self, True, policy.heartbeat_interval, policy.lease_ttl
+        )
 
 
 # ------------------------------------------------------------ system twin
 
 
 class _LeaderLog(KernelListener):
-    def __init__(self, policy):
-        self.policy = policy
+    def __init__(self, system):
+        self.system = system
         self.leaders: List[Optional[int]] = []
 
     def on_recovery_complete(self, record) -> None:
-        self.leaders.append(self.policy.leader_rank)
-
-
+        self.leaders.append(self.system.detector.leader_rank)
 
 
 def run_system(
-    policy_cls, failures, *, cost_model=None, num_standby=1, seed=0,
+    system_cls, failures, *, cost_model=None, num_standby=1, seed=0,
     heartbeat=HEARTBEAT,
 ):
     """Everything one run produced, in comparable form."""
@@ -217,18 +225,17 @@ def run_system(
     )
     if cost_model is not None:
         config.cost_model = cost_model
-    policy = policy_cls(config)
-    system = SimulatedTrainingSystem(
+    system = system_cls(
         GPT2_10B,
         P4D_24XLARGE,
         NUM_MACHINES,
-        policy,
+        GeminiPolicy(config),
         seed=seed,
         num_standby=num_standby,
         persistent_bandwidth=config.persistent_bandwidth,
         cost_model=config.cost_model,
     )
-    log = _LeaderLog(policy)
+    log = _LeaderLog(system)
     system.add_listener(log)
     TraceFailureInjector(
         system.sim,
@@ -241,13 +248,13 @@ def run_system(
         dataclasses.asdict(result),
         system.trace.to_jsonl(),
         log.leaders,
-        policy.leader_rank,
+        system.detector.leader_rank,
     )
 
 
 def assert_twins_agree(failures, **kwargs):
-    analytic = run_system(GeminiPolicy, failures, **kwargs)
-    materialized = run_system(MaterializedGeminiPolicy, failures, **kwargs)
+    analytic = run_system(SimulatedTrainingSystem, failures, **kwargs)
+    materialized = run_system(MaterializedSystem, failures, **kwargs)
     assert analytic[0] == materialized[0]
     assert analytic[1] == materialized[1]
     assert analytic[2:] == materialized[2:]
@@ -323,7 +330,7 @@ def test_tie_failure_on_respawned_grid():
     """The same on a respawned incarnation's phase, which starts where
     the recovery resumed."""
     first = [(1000.0, "software", (2,))]
-    resumed = run_system(GeminiPolicy, first, heartbeat=ODD_HEARTBEAT)[0][
+    resumed = run_system(SimulatedTrainingSystem, first, heartbeat=ODD_HEARTBEAT)[0][
         "recoveries"
     ][0]["resumed_at"]
     beats = _chained(resumed, 1000)
@@ -452,7 +459,7 @@ class AgentWorld:
             if not cluster.machine(args[0]).hardware_alive:
                 cluster.replace(args[0])
         elif kind == "respawn":
-            # As GeminiPolicy does after a recovery: fresh agents for a
+            # As FailureDetector does after a recovery pass: fresh agents for a
             # healthy rank whose worker lease is gone.
             rank = args[0]
             lease = self.workers[rank].lease

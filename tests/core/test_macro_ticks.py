@@ -41,7 +41,7 @@ from repro.training import GPT2_100B
 from repro.units import DAY, HOUR
 
 #: plain ``gemini`` with its §3.2 agents on (the ``GeminiSystem``
-#: default); the four frontier policies reject agents.
+#: default); the other policies run here with the fixed-delay detector.
 AGENT_MODE = "gemini+agents"
 POLICIES = (*available_policies(), AGENT_MODE)
 SEEDS = (0, 1, 2)

@@ -30,6 +30,7 @@ from repro.core.recovery import (
     ShardRetrieval,
     UnrecoverableError,
     plan_recovery,
+    uniform_retrievals,
 )
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.failures import FailureType
@@ -355,7 +356,6 @@ class TestPlannerDifferential:
         assert {r.source for r in first.retrievals} == {source}
         assert first.retrievals == second.retrievals
         assert first.retrievals is not second.retrievals
-        # A new placement of the same shape starts its own tuples.
-        other = make_placement("mixed", 5, 2, 1)
-        assert other == placement
-        assert not other._uniform_retrievals
+        # Any placement of the same size shares the retrievals.
+        other = uniform_retrievals(make_placement("ring", 5, 2, 1), source)
+        assert all(mine is theirs for mine, theirs in zip(first.retrievals, other))

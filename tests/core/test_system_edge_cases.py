@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.baselines import BaselineSystem
 from repro.cluster import Machine, P4D_24XLARGE
 from repro.core.system import GeminiConfig, GeminiSystem
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
@@ -108,8 +109,8 @@ class TestLightweightMode:
             GPT2_100B, P4D_24XLARGE, 16,
             config=GeminiConfig(use_agents=False),
         )
-        assert not system.policy.worker_agents
-        assert not system.policy.root_agents
+        assert not system.detector.use_agents
+        assert not system.detector.root_agents
         assert system.leader_rank is None
 
     def test_concurrent_detections_coalesce(self):
@@ -159,6 +160,23 @@ class TestSimultaneousFailures:
         (record,) = result.recoveries
         assert sorted(record.failed_ranks) == [3, 8]
         assert all(machine.is_healthy for machine in system.cluster)
+
+    @pytest.mark.parametrize("policy", ["strawman", "highfreq"])
+    def test_baseline_detection_covers_both_failures(self, policy):
+        """The fixed-delay detector records the ranks down at the failure
+        instant, so the baselines' first pass restores both ranks."""
+        system = BaselineSystem(GPT2_100B, P4D_24XLARGE, 16, policy=policy)
+        TraceFailureInjector(
+            system.sim, system.cluster,
+            [
+                FailureEvent(1000.0, FailureType.HARDWARE, [3]),
+                FailureEvent(1000.0, FailureType.SOFTWARE, [8]),
+            ],
+            system.inject_failure,
+        )
+        (record,) = system.run(2 * HOUR).recoveries
+        assert record.failed_ranks == [3, 8]
+        assert record.failure_time == 1000.0
 
 
 class TestClockTypes:

@@ -9,12 +9,15 @@ is automatically held to the same invariants:
   exactly (the Figure 14 invariant);
 - results are bit-identical with observability on or off (recording must
   never schedule simulator events);
+- recoveries audit clean under either detector the kernel runs (the
+  fixed delay, or the agent plane with I8's detection window active);
 - ``timings()`` works unbound with explicit workload arguments and
   raises without them.
 """
 
 import pytest
 
+from repro.chaos.auditor import RecoveryInvariantAuditor
 from repro.cluster import P4D_24XLARGE
 from repro.core.kernel import SimulatedTrainingSystem
 from repro.experiments import available_policies, create_policy
@@ -43,8 +46,8 @@ HOOKS = (
 )
 
 
-def run_system(name, obs=None, calls=None):
-    policy = create_policy(name, use_agents=False)
+def build_system(name, obs=None, calls=None, use_agents=False):
+    policy = create_policy(name, use_agents=use_agents)
     if calls is not None:
         for hook in HOOKS:
             original = getattr(policy, hook)
@@ -60,7 +63,11 @@ def run_system(name, obs=None, calls=None):
     TraceFailureInjector(
         system.sim, system.cluster, list(FAILURES), system.inject_failure
     )
-    return system.run(3 * HOUR)
+    return system
+
+
+def run_system(name, obs=None, calls=None):
+    return build_system(name, obs, calls).run(3 * HOUR)
 
 
 def result_fingerprint(result):
@@ -140,6 +147,15 @@ class TestConformance:
         plain = run_system(name, obs=None)
         observed = run_system(name, obs=Observability())
         assert result_fingerprint(plain) == result_fingerprint(observed)
+
+    @pytest.mark.parametrize("use_agents", [False, True])
+    def test_recoveries_audit_clean_under_either_detector(self, name, use_agents):
+        system = build_system(name, use_agents=use_agents)
+        auditor = RecoveryInvariantAuditor(system)
+        result = system.run(3 * HOUR)
+        assert len(result.recoveries) == 2
+        assert auditor.violations == []
+        assert (auditor.detection_window is not None) is use_agents
 
     def test_unbound_timings_requires_workload(self, name, workload):
         spec, plan = workload

@@ -118,11 +118,6 @@ def test_failure_at_the_gradient_point_counts_first(failures, macro_ticks):
     assert result.recoveries[0].rollback_iteration == k - 1
 
 
-def test_checkmate_rejects_agents():
-    with pytest.raises(ValueError, match="agents"):
-        create_policy("checkmate", use_agents=True)
-
-
 def test_commit_cadence_is_gemini_at_the_gradient_point():
     """With a commit cadence, Checkmate commits GEMINI's iterations, each
     at its gradient point, whether the window is coalesced or not."""

@@ -50,8 +50,3 @@ def test_policy_configures_grid_placement():
     SimulatedTrainingSystem(GPT2_100B, P4D_24XLARGE, 16, policy, seed=0)
     assert len(policy.placement.groups) == 8
     assert all(len(group) == 2 for group in policy.placement.groups)
-
-
-def test_reft_rejects_agents():
-    with pytest.raises(ValueError, match="agents"):
-        create_policy("reft", use_agents=True)

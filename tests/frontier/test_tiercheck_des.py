@@ -77,8 +77,6 @@ def test_tiercheck_stays_coalescable():
     assert policy.gradient_phase_fraction is None
 
 
-def test_tiercheck_rejects_agents_and_bad_interval():
-    with pytest.raises(ValueError, match="agents"):
-        create_policy("tiercheck", use_agents=True)
+def test_tiercheck_rejects_bad_interval():
     with pytest.raises(ValueError, match="ssd_interval"):
         create_policy("tiercheck", ssd_interval=0.0)
