@@ -7,9 +7,13 @@ retrieves the whole model back through the 20 Gbps persistent pipe
 (Figure 6a).  They differ only in cadence: Strawman uses BLOOM's 3-hour
 interval, HighFreq checkpoints as fast as the pipe allows (Section 7.1).
 
-Each is a :class:`repro.core.kernel.CheckpointPolicy`;
-:class:`BaselineSystem` is the thin API-compatible facade over the
-shared :class:`repro.core.kernel.SimulatedTrainingSystem` event loop.
+Each is a :class:`repro.core.kernel.CheckpointPolicy` that supplies
+only its checkpoint cadence and an all-persistent recovery plan: it
+recovers through the shared :meth:`CheckpointPolicy.recover` loop with
+that loop's default hooks (no machine to provision, no replicas to
+serialize, one persistent retrieval).  :class:`BaselineSystem` is the thin
+API-compatible facade over the shared
+:class:`repro.core.kernel.SimulatedTrainingSystem` event loop.
 """
 
 from __future__ import annotations
@@ -18,19 +22,14 @@ from typing import Iterator, Optional
 
 from repro.baselines.policies import PolicyTimings, highfreq_policy, strawman_policy
 from repro.cluster.instances import InstanceType
-from repro.cluster.machine import MachineState
-from repro.core.agents import DetectedFailure
 from repro.core.kernel import CheckpointPolicy, SimulatedTrainingSystem, SystemResult
 from repro.core.recovery import (
     RecoveryCostModel,
     RecoveryPlan,
-    RecoveryRecord,
     RetrievalSource,
-    ShardRetrieval,
+    uniform_retrievals,
 )
-from repro.failures.types import FailureType
 from repro.storage.serialization import SerializationModel
-from repro.trace import TraceKind
 from repro.training.models import ModelConfig
 from repro.training.timeline import IterationPlan
 from repro.units import gbps
@@ -49,7 +48,7 @@ class PersistentOnlyPolicy(CheckpointPolicy):
 
     Subclasses supply :meth:`make_timings`; everything else — the
     torch.save stall at each cadence boundary, the asynchronous upload,
-    and the always-from-persistent recovery — is common.
+    and the always-from-persistent recovery plan — is common.
     """
 
     def __init__(
@@ -133,97 +132,15 @@ class PersistentOnlyPolicy(CheckpointPolicy):
 
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
         kernel = self.kernel
-        rollback = kernel.persistent.latest_complete() or 0
         return RecoveryPlan(
             failure_type=failure_type,
             failed_ranks=sorted(failed_ranks),
-            retrievals=[
-                ShardRetrieval(rank=rank, source=RetrievalSource.PERSISTENT)
-                for rank in range(kernel.cluster.size)
-            ],
-            rollback_iteration=rollback,
+            retrievals=uniform_retrievals(
+                kernel.cluster.size, RetrievalSource.PERSISTENT
+            ),
+            rollback_iteration=kernel.persistent.latest_complete() or 0,
             from_cpu_memory=False,
         )
-
-    def recover(self, detected: DetectedFailure) -> Iterator:
-        kernel = self.kernel
-        cost = kernel.cost_model
-        cluster = kernel.cluster
-        failure_type = detected.failure_type
-        # Pass 1 restores the reported ranks that are still down, so a
-        # detection firing after a recovery restored them starts nothing.
-        broken = [r for r in detected.missing_ranks if not cluster.machine(r).is_healthy]
-        while broken:
-            hw_ranks = [
-                rank
-                for rank in broken
-                if cluster.machine(rank).state
-                in (MachineState.FAILED, MachineState.REPLACING)
-            ]
-            # A root agent's scan reports ranks only: date the failure one
-            # detection delay back and type it by the machines' states.
-            failure_time = detected.failure_time
-            if failure_time is None:
-                failure_time = detected.detected_at - cost.detection_delay
-            if failure_type is None:
-                failure_type = FailureType.HARDWARE if hw_ranks else FailureType.SOFTWARE
-            record = RecoveryRecord(
-                failure_time=failure_time,
-                failure_type=failure_type,
-                failed_ranks=broken,
-                detected_at=detected.detected_at,
-            )
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.DETECTION,
-                ranks=broken,
-                failure_type=failure_type.value,
-            )
-            if hw_ranks:
-                yield kernel.replace_hardware(hw_ranks)
-                record.replacement_done_at = kernel.sim.now
-                kernel.trace.record(
-                    kernel.sim.now, TraceKind.REPLACEMENT, ranks=hw_ranks
-                )
-            record.serialization_done_at = kernel.sim.now  # nothing to serialize
-            yield kernel.sim.timeout(
-                cost.persistent_retrieval_time(
-                    kernel.spec, kernel.persistent.aggregate_bandwidth
-                )
-            )
-            record.retrieval_done_at = kernel.sim.now
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.RETRIEVAL,
-                source=RetrievalSource.PERSISTENT.value,
-            )
-            kernel.restart_down_processes(broken)
-            yield kernel.sim.timeout(cost.restart_warmup)
-            record.resumed_at = kernel.sim.now
-            plan = self.plan_recovery(failure_type, broken)
-            record.rollback_iteration = plan.rollback_iteration
-            record.source = RetrievalSource.PERSISTENT
-            record.from_cpu_memory = False
-            kernel.committed_iteration = plan.rollback_iteration
-            kernel.current_iteration = plan.rollback_iteration + 1
-            kernel.record_recovery(record)
-            kernel.emit_recovery_telemetry(record)
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.ROLLBACK,
-                iteration=plan.rollback_iteration,
-                from_cpu_memory=False,
-            )
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.RESUME,
-                overhead=round(record.total_overhead, 3),
-            )
-            # New failures may have landed during recovery; loop handles them.
-            detected = yield from kernel.redetect()
-            if detected is None:
-                break
-            broken = detected.missing_ranks
 
     # ------------------------------------------------------------------- analytic
 

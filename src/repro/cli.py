@@ -180,7 +180,9 @@ def cmd_simulate(args) -> int:
     model, instance, plan, _spec = _workload(args)
     wants_obs = bool(args.metrics_out or args.trace_out)
     obs = Observability() if wants_obs else None
-    policy_kwargs = {"num_replicas": args.replicas}
+    # Every policy detects through GEMINI's agents (§3.2), so the runs
+    # differ only in checkpointing and recovery.
+    policy_kwargs = {"num_replicas": args.replicas, "use_agents": True}
     if getattr(args, "placement", None):
         policy_kwargs["placement_strategy"] = args.placement
     try:

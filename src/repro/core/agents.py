@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
-from repro.failures.types import FailureEvent, FailureType
+from repro.failures.types import FailureEvent
 from repro.kvstore import Election, KeptLease, KVStore
 from repro.sim import Simulator
 
@@ -243,12 +243,11 @@ class WorkerAgent:
 
 @dataclass
 class DetectedFailure:
-    """What a detector saw; a root agent's scan leaves the time and type ``None``."""
+    """What a detector saw; a root agent's scan leaves the time ``None``."""
 
     detected_at: float
     missing_ranks: List[int]
     failure_time: Optional[float] = None
-    failure_type: Optional[FailureType] = None
 
 
 class RootAgent:
@@ -444,7 +443,7 @@ class FailureDetector:
         kernel.sim.call_after(
             kernel.cost_model.detection_delay,
             lambda: kernel.begin_recovery(
-                DetectedFailure(kernel.sim.now, ranks, event.time, event.failure_type)
+                DetectedFailure(kernel.sim.now, ranks, event.time)
             ),
         )
 

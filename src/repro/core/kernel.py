@@ -21,11 +21,13 @@ The **kernel** owns everything every policy shares:
 - the persistent-checkpoint tick loop (when the policy wants one);
 - :class:`SystemResult` assembly and end-of-run metric gauges.
 
-The **policy** owns what differs between checkpointing strategies: which
-substrate it needs (CPU-memory stores and fabric for GEMINI — nothing
-for the remote-storage baselines), what happens at each iteration
-boundary, how a persistent tick proceeds, and how a recovery is planned
-and executed.
+:meth:`CheckpointPolicy.recover` is the one recovery loop (Section 6)
+every policy runs.  The **policy** owns what differs between
+checkpointing strategies: which substrate it needs (CPU-memory stores
+and fabric for GEMINI — nothing for the remote-storage baselines), what
+happens at each iteration boundary, how a persistent tick proceeds, how
+a recovery is planned, and the recovery steps that differ (the loop's
+hooks).
 
 Fidelity split (see DESIGN.md): iteration *interference* is simulated at
 chunk granularity by :mod:`repro.core.interleave` on a representative
@@ -47,8 +49,13 @@ from repro.cluster.instances import InstanceType
 from repro.cluster.machine import MachineState
 from repro.core.agents import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TTL
 from repro.core.agents import DetectedFailure, FailureDetector
-from repro.core.recovery import RecoveryCostModel, RecoveryPlan, RecoveryRecord
-from repro.failures.types import FailureEvent
+from repro.core.recovery import (
+    RecoveryCostModel,
+    RecoveryPlan,
+    RecoveryRecord,
+    recovery_source,
+)
+from repro.failures.types import FailureEvent, FailureType
 from repro.obs import NULL_OBSERVABILITY, Observability
 from repro.sim import Event, RandomStreams, Simulator
 from repro.storage.persistent import PersistentStore
@@ -174,8 +181,8 @@ class CheckpointPolicy(abc.ABC):
        ``None``): :meth:`on_persistent_tick`;
     6. per failure: :meth:`on_failure` (before the training abort),
        :meth:`after_failure` (after it);
-    7. per detection: :meth:`recover`, a generator that drives the whole
-       recovery and typically consults :meth:`plan_recovery`;
+    7. per detection: :meth:`recover`, the shared recovery loop, which
+       consults :meth:`plan_recovery` and the recovery hooks;
     8. :meth:`finalize` — end-of-run metric export.
 
     Policies must never mutate simulator state outside these hooks, and
@@ -304,11 +311,147 @@ class CheckpointPolicy(abc.ABC):
     def plan_recovery(self, failure_type, failed_ranks) -> RecoveryPlan:
         """Decide every rank's retrieval source and rollback iteration."""
 
-    @abc.abstractmethod
     def recover(self, detected: DetectedFailure) -> Iterator[Event]:
-        """Drive one full recovery (generator; kernel clears flags after),
-        calling ``kernel.record_recovery`` after each pass and
-        ``kernel.redetect`` for failures that landed during it."""
+        """The recovery loop (Section 6), one for every policy (generator).
+
+        Each pass recovers the ranks down when it starts:
+
+        1. the down set: hardware-failed (or replacing) ranks from
+           ``Cluster.failed_ranks()``, process-down ones from
+           ``unhealthy_ranks()``; an empty set ends the loop;
+        2. the pass is ``HARDWARE`` if any machine failed, else
+           ``SOFTWARE``; its failure time is ``detected.failure_time``
+           when the detector carries one, else one ``detection_delay``
+           before ``detected.detected_at``; trace DETECTION;
+        3. hardware only: replace the failed machines in parallel, trace
+           REPLACEMENT, and :meth:`_provision` each one still healthy;
+        4. :meth:`plan_recovery` against the post-replacement state;
+        5. CPU-memory plans only: :meth:`_serialize_replicas`; then trace
+           SERIALIZATION;
+        6. :meth:`_execute_retrievals`, trace RETRIEVAL; restart the
+           pass's process-down ranks and warm up;
+        7. :meth:`_reconstitute_after`, roll the job back to the plan's
+           iteration (trace ROLLBACK), ``kernel.record_recovery``, trace
+           RESUME;
+        8. ``kernel.redetect()`` for failures that landed during the pass:
+           ``None`` ends the loop, anything else starts the next pass.
+
+        A rank that fails again after its pass took the down set is left
+        down, so the next pass sees it.  No checkpoint publishes while the
+        loop runs (the kernel's recovery flag gates uploads), so the plan
+        reads the state the pass rolls back to.
+        """
+        kernel = self.kernel
+        cost = kernel.cost_model
+        cluster = kernel.cluster
+        while True:
+            down = cluster.unhealthy_ranks()
+            if not down:
+                break
+            failed_hw = cluster.failed_ranks()
+            failed_sw = [
+                rank
+                for rank in down
+                if cluster.machine(rank).state == MachineState.PROCESS_DOWN
+            ]
+            failure_type = FailureType.HARDWARE if failed_hw else FailureType.SOFTWARE
+            failure_time = detected.failure_time
+            if failure_time is None:
+                failure_time = detected.detected_at - cost.detection_delay
+            record = RecoveryRecord(
+                failure_time=failure_time,
+                failure_type=failure_type,
+                failed_ranks=down,
+                detected_at=detected.detected_at,
+            )
+            kernel.trace.record(
+                kernel.sim.now,
+                TraceKind.DETECTION,
+                ranks=down,
+                failure_type=failure_type.value,
+            )
+
+            if failed_hw:
+                yield kernel.replace_hardware(failed_hw)
+                record.replacement_done_at = kernel.sim.now
+                kernel.trace.record(
+                    kernel.sim.now, TraceKind.REPLACEMENT, ranks=failed_hw
+                )
+                for rank in failed_hw:
+                    # A machine that failed *again* while the barrier
+                    # drained the other ranks is replaced by the next pass.
+                    if cluster.machine(rank).is_healthy:
+                        self._provision(rank)
+
+            plan = self.plan_recovery(failure_type, down)
+            record.rollback_iteration = plan.rollback_iteration
+            record.from_cpu_memory = plan.from_cpu_memory
+            record.source = recovery_source(plan)
+
+            if plan.from_cpu_memory:
+                yield from self._serialize_replicas()
+            record.serialization_done_at = kernel.sim.now
+            kernel.trace.record(kernel.sim.now, TraceKind.SERIALIZATION)
+
+            yield from self._execute_retrievals(plan, cost)
+            record.retrieval_done_at = kernel.sim.now
+            kernel.trace.record(
+                kernel.sim.now, TraceKind.RETRIEVAL, source=record.source.value
+            )
+
+            kernel.restart_down_processes(failed_sw)
+            yield kernel.sim.timeout(cost.restart_warmup)
+            record.resumed_at = kernel.sim.now
+
+            # The rollback lands before record_recovery, so listeners see
+            # committed/current already reflecting the recovery.
+            self._reconstitute_after(plan)
+            if plan.rollback_iteration is not None:
+                kernel.committed_iteration = plan.rollback_iteration
+                kernel.current_iteration = plan.rollback_iteration + 1
+                kernel.trace.record(
+                    kernel.sim.now,
+                    TraceKind.ROLLBACK,
+                    iteration=plan.rollback_iteration,
+                    from_cpu_memory=plan.from_cpu_memory,
+                )
+            kernel.record_recovery(record)
+            kernel.emit_recovery_telemetry(record)
+            kernel.trace.record(
+                kernel.sim.now,
+                TraceKind.RESUME,
+                overhead=round(record.total_overhead, 3),
+            )
+            detected = yield from kernel.redetect()
+            if detected is None:
+                break
+
+    def _provision(self, rank: int) -> None:
+        """Recovery hook: ready the healthy replacement machine now holding
+        ``rank`` (GEMINI attaches its NIC and builds its store, as it does
+        for every machine at build)."""
+
+    def _serialize_replicas(self) -> Iterator[Event]:
+        """Recovery hook (generator), run for CPU-memory plans only: make
+        the surviving replicas loadable by the restarted processes."""
+        return iter(())
+
+    def _execute_retrievals(
+        self, plan: RecoveryPlan, cost: RecoveryCostModel
+    ) -> Iterator[Event]:
+        """Recovery hook (generator): fetch every rank's shard as ``plan``
+        says.  The default reads the whole model back through the
+        persistent pipe, plus each machine's torch.load()."""
+        kernel = self.kernel
+        yield kernel.sim.timeout(
+            cost.persistent_retrieval_time(
+                kernel.spec, kernel.persistent.aggregate_bandwidth
+            )
+        )
+
+    def _reconstitute_after(self, plan: RecoveryPlan) -> None:
+        """Recovery hook: bring the policy's own checkpoint state to
+        ``plan.rollback_iteration`` just before the job rolls back."""
 
     @abc.abstractmethod
     def timings(

@@ -3,8 +3,10 @@
 This is the paper's system expressed as a :class:`CheckpointPolicy` for
 the simulation kernel.  It owns everything GEMINI-specific: the shard
 placement (Algorithm 1), per-machine CPU-memory stores, the training
-fabric used for recovery transfers, and the tiered recovery
-planner/executor of Section 6.  The kernel detects failures (§3.2);
+fabric used for recovery transfers, the tiered recovery planner of
+Section 6, and the recovery loop's GEMINI steps (provisioning a new
+machine, serializing replicas, fabric retrievals, re-seeding stores).
+The kernel detects failures (§3.2) and runs the loop;
 :class:`GeminiConfig` picks the detector and its timings.
 """
 
@@ -13,19 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.core.agents import DetectedFailure
 from repro.core.kernel import CheckpointPolicy
 from repro.core.placement import Placement, PlacementStrategy, resolve_placement
 from repro.core.recovery import (
     RecoveryCostModel,
     RecoveryPlan,
-    RecoveryRecord,
     RetrievalSource,
     plan_recovery,
-    recovery_source,
 )
 from repro.cluster.machine import MachineState
-from repro.failures.types import FailureEvent, FailureType
+from repro.failures.types import FailureEvent
 from repro.network.fabric import Fabric, TransferAborted
 from repro.storage.cpu_memory import CPUCheckpointStore, StorePlane
 from repro.trace import TraceKind
@@ -127,19 +126,7 @@ class GeminiPolicy(CheckpointPolicy):
         topology = spec.build_topology() if spec is not None else None
         self.fabric = Fabric(kernel.sim, obs=kernel.obs, topology=topology)
         for machine in kernel.cluster:
-            self.fabric.attach(
-                machine.machine_id,
-                machine.instance_type.network_bandwidth,
-                position=machine.position,
-            )
-
-        # Hierarchical CPU-memory stores, populated per the placement.
-        shard = kernel.spec.checkpoint_bytes_per_machine
-        for machine in kernel.cluster:
-            store = CPUCheckpointStore(machine, obs=kernel.obs, plane=self.plane)
-            for owner in self.placement.hosted_by(machine.rank):
-                store.host_shard(owner, shard)
-            self.stores[machine.rank] = store
+            self._provision(machine.rank)
 
     def on_start(self) -> None:
         self.commit_checkpoint(0)
@@ -311,128 +298,37 @@ class GeminiPolicy(CheckpointPolicy):
             plane=self.plane,
         )
 
-    def recover(self, detected: DetectedFailure) -> Iterator:
+    def _provision(self, rank: int) -> None:
+        # The machine's NIC on the fabric, and its CPU-memory store
+        # hosting the shards the placement assigns it.
         kernel = self.kernel
-        cost = kernel.cost_model
-        cluster = kernel.cluster
-        while True:
-            failed_hw = cluster.failed_ranks()
-            failed_sw = [
-                rank
-                for rank in cluster.unhealthy_ranks()
-                if cluster.machine(rank).state == MachineState.PROCESS_DOWN
-            ]
-            if not failed_hw and not failed_sw:
-                break
-            failure_type = FailureType.HARDWARE if failed_hw else FailureType.SOFTWARE
-            record = RecoveryRecord(
-                failure_time=detected.detected_at - cost.detection_delay,
-                failure_type=failure_type,
-                failed_ranks=sorted(failed_hw + failed_sw),
-                detected_at=detected.detected_at,
-            )
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.DETECTION,
-                ranks=record.failed_ranks,
-                failure_type=failure_type.value,
-            )
+        machine = kernel.cluster.machine(rank)
+        self.fabric.attach(
+            machine.machine_id,
+            machine.instance_type.network_bandwidth,
+            position=machine.position,
+        )
+        shard = kernel.spec.checkpoint_bytes_per_machine
+        store = CPUCheckpointStore(machine, obs=kernel.obs, plane=self.plane)
+        for owner in self.placement.hosted_by(rank):
+            store.host_shard(owner, shard)
+        self.stores[rank] = store
 
-            # Phase 1: replace hardware-failed machines (parallel).
-            if failed_hw:
-                yield kernel.replace_hardware(failed_hw)
-                record.replacement_done_at = kernel.sim.now
-                kernel.trace.record(
-                    kernel.sim.now, TraceKind.REPLACEMENT, ranks=failed_hw
-                )
-                for rank in failed_hw:
-                    machine = kernel.cluster.machine(rank)
-                    if not machine.is_healthy:
-                        # Failed *again* while the replacement barrier
-                        # drained the other ranks (overlapping rack
-                        # failures at fleet scale): don't attach a NIC or
-                        # populate a store for a dead machine — the next
-                        # pass of the recovery loop sees it in failed_hw
-                        # and replaces it afresh.
-                        continue
-                    self.fabric.attach(
-                        machine.machine_id,
-                        machine.instance_type.network_bandwidth,
-                        position=machine.position,
-                    )
-                    store = CPUCheckpointStore(
-                        machine, obs=kernel.obs, plane=self.plane
-                    )
-                    for owner in self.placement.hosted_by(rank):
-                        store.host_shard(
-                            owner, kernel.spec.checkpoint_bytes_per_machine
-                        )
-                    self.stores[rank] = store
-
-            # Phase 2: plan against the post-replacement store states.
-            plan = self.plan_recovery(failure_type, sorted(failed_hw + failed_sw))
-            record.rollback_iteration = plan.rollback_iteration
-            record.from_cpu_memory = plan.from_cpu_memory
-            record.source = recovery_source(plan)
-
-            # Phase 3: alive agents serialize their CPU-memory replicas so
-            # the restarted processes can torch.load() them.
-            if plan.from_cpu_memory:
-                yield kernel.sim.timeout(
-                    cost.serialization_time(kernel.spec, self.config.num_replicas)
-                )
-            record.serialization_done_at = kernel.sim.now
-            kernel.trace.record(kernel.sim.now, TraceKind.SERIALIZATION)
-
-            # Phase 4: retrieval.
-            yield from self._execute_retrievals(plan, cost)
-            record.retrieval_done_at = kernel.sim.now
-            kernel.trace.record(
-                kernel.sim.now, TraceKind.RETRIEVAL, source=record.source.value
-            )
-
-            # Phase 5: process restarts + warm-up.
-            kernel.restart_down_processes(failed_sw)
-            yield kernel.sim.timeout(cost.restart_warmup)
-            record.resumed_at = kernel.sim.now
-
-            # Re-seed stores and roll back the job state.  The
-            # rollback is applied *before* record_recovery so listeners
-            # observe committed/current already reflecting the recovery
-            # (trace order — ROLLBACK then RESUME — is unchanged).
-            self._reconstitute_after(plan)
-            if plan.rollback_iteration is not None:
-                kernel.committed_iteration = plan.rollback_iteration
-                kernel.current_iteration = plan.rollback_iteration + 1
-                kernel.trace.record(
-                    kernel.sim.now,
-                    TraceKind.ROLLBACK,
-                    iteration=plan.rollback_iteration,
-                    from_cpu_memory=plan.from_cpu_memory,
-                )
-            kernel.record_recovery(record)
-            kernel.emit_recovery_telemetry(record)
-            kernel.trace.record(
-                kernel.sim.now,
-                TraceKind.RESUME,
-                overhead=round(record.total_overhead, 3),
-            )
-            # Loop again if new failures arrived during recovery.
-            detected = yield from kernel.redetect()
-            if detected is None:
-                break
+    def _serialize_replicas(self) -> Iterator:
+        # Alive agents torch.save() their CPU-memory replicas so the
+        # restarted processes can torch.load() them.
+        kernel = self.kernel
+        yield kernel.sim.timeout(
+            kernel.cost_model.serialization_time(kernel.spec, self.config.num_replicas)
+        )
 
     def _execute_retrievals(self, plan: RecoveryPlan, cost: RecoveryCostModel):
-        """Run the retrieval phase: fabric flows for remote-CPU fetches,
-        analytic timeouts for the persistent fallback."""
-        kernel = self.kernel
+        """Fabric flows for remote-CPU fetches; the persistent fallback is
+        the base class's."""
         if not plan.from_cpu_memory:
-            yield kernel.sim.timeout(
-                cost.persistent_retrieval_time(
-                    kernel.spec, kernel.persistent.aggregate_bandwidth
-                )
-            )
+            yield from super()._execute_retrievals(plan, cost)
             return
+        kernel = self.kernel
         shard = kernel.spec.checkpoint_bytes_per_machine
         flows = []
         replaced = set()

@@ -84,16 +84,14 @@ def _uniform(num_machines: int, source: RetrievalSource) -> Tuple[ShardRetrieval
     return tuple(ShardRetrieval(rank=rank, source=source) for rank in range(num_machines))
 
 
-def uniform_retrievals(
-    placement: Placement, source: RetrievalSource
-) -> List[ShardRetrieval]:
+def uniform_retrievals(num_machines: int, source: RetrievalSource) -> List[ShardRetrieval]:
     """A fresh list of one ``source`` retrieval per rank.
 
     The retrievals are immutable and depend only on the cluster size, so
-    every placement of that size shares one tuple per source and every
-    plan gets its own list copy.
+    every plan for ``num_machines`` ranks shares one tuple per source and
+    gets its own list copy.
     """
-    return list(_uniform(placement.num_machines, source))
+    return list(_uniform(num_machines, source))
 
 
 def plan_recovery(
@@ -125,19 +123,19 @@ def plan_recovery(
             return RecoveryPlan(
                 failure_type=failure_type,
                 failed_ranks=failed_sorted,
-                retrievals=uniform_retrievals(placement, RetrievalSource.LOCAL_CPU),
+                retrievals=uniform_retrievals(n, RetrievalSource.LOCAL_CPU),
                 rollback_iteration=rollback,
                 from_cpu_memory=True,
             )
-        return _persistent_plan(placement, persistent, failure_type, failed_sorted)
+        return _persistent_plan(n, persistent, failure_type, failed_sorted)
 
     # Hardware failure: every survivor reads its own replica ...
     complete, rollback = _own_floor(stores, plane, n, failed)
     if not complete:
-        return _persistent_plan(placement, persistent, failure_type, failed_sorted)
+        return _persistent_plan(n, persistent, failure_type, failed_sorted)
     # ... and each lost shard comes from its lowest-ranked surviving peer
     # with a complete copy.
-    retrievals = uniform_retrievals(placement, RetrievalSource.LOCAL_CPU)
+    retrievals = uniform_retrievals(n, RetrievalSource.LOCAL_CPU)
     for rank in failed_sorted:
         for peer in sorted(placement.storers_of(rank)):
             if peer == rank or peer in failed:
@@ -147,7 +145,7 @@ def plan_recovery(
                 break
         else:
             # Case 2: a whole placement group failed together.
-            return _persistent_plan(placement, persistent, failure_type, failed_sorted)
+            return _persistent_plan(n, persistent, failure_type, failed_sorted)
         if rollback is None or latest < rollback:
             rollback = latest
         retrievals[rank] = ShardRetrieval(
@@ -210,7 +208,7 @@ def recovery_source(plan: RecoveryPlan) -> RetrievalSource:
 
 
 def _persistent_plan(
-    placement: Placement,
+    num_machines: int,
     persistent: PersistentStore,
     failure_type: FailureType,
     failed_sorted: List[int],
@@ -224,7 +222,7 @@ def _persistent_plan(
     return RecoveryPlan(
         failure_type=failure_type,
         failed_ranks=failed_sorted,
-        retrievals=uniform_retrievals(placement, RetrievalSource.PERSISTENT),
+        retrievals=uniform_retrievals(num_machines, RetrievalSource.PERSISTENT),
         rollback_iteration=rollback,
         from_cpu_memory=False,
     )

@@ -165,7 +165,9 @@ class TierCheckPolicy(GeminiPolicy):
         return RecoveryPlan(
             failure_type=failure_type,
             failed_ranks=sorted(failed_ranks),
-            retrievals=uniform_retrievals(self.placement, RetrievalSource.SSD),
+            retrievals=uniform_retrievals(
+                self.placement.num_machines, RetrievalSource.SSD
+            ),
             rollback_iteration=ssd_latest,
             from_cpu_memory=False,
         )

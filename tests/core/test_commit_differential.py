@@ -13,7 +13,7 @@ rollback iteration.
 
 Two identical systems receive the same random operations: one through
 the policy, one through the oracle.  Replacement stores are built as
-``GeminiPolicy.recover`` builds them, on the policy's plane.  Every slot
+``GeminiPolicy._provision`` builds them, on the policy's plane.  Every slot
 of every store must agree after each step, read without diverging a
 clean store.
 """

@@ -11,6 +11,9 @@ is automatically held to the same invariants:
   never schedule simulator events);
 - recoveries audit clean under either detector the kernel runs (the
   fixed delay, or the agent plane with I8's detection window active);
+- every policy runs the one recovery loop: each pass is typed from the
+  machines it finds down, a failure landing mid-pass gets its own pass,
+  and the trace runs the loop's phases in order;
 - ``timings()`` works unbound with explicit workload arguments and
   raises without them.
 """
@@ -23,6 +26,7 @@ from repro.core.kernel import SimulatedTrainingSystem
 from repro.experiments import available_policies, create_policy
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
 from repro.obs import Observability
+from repro.trace import TraceKind
 from repro.training import GPT2_100B
 from repro.units import HOUR
 
@@ -46,7 +50,7 @@ HOOKS = (
 )
 
 
-def build_system(name, obs=None, calls=None, use_agents=False):
+def build_system(name, obs=None, calls=None, use_agents=False, failures=FAILURES):
     policy = create_policy(name, use_agents=use_agents)
     if calls is not None:
         for hook in HOOKS:
@@ -61,13 +65,35 @@ def build_system(name, obs=None, calls=None, use_agents=False):
         GPT2_100B, P4D_24XLARGE, 16, policy, seed=0, num_standby=2, obs=obs
     )
     TraceFailureInjector(
-        system.sim, system.cluster, list(FAILURES), system.inject_failure
+        system.sim, system.cluster, list(failures), system.inject_failure
     )
     return system
 
 
 def run_system(name, obs=None, calls=None):
     return build_system(name, obs, calls).run(3 * HOUR)
+
+
+#: the loop's trace, one pass; REPLACEMENT only when hardware failed.
+PASS_PHASES = (
+    TraceKind.DETECTION,
+    TraceKind.REPLACEMENT,
+    TraceKind.SERIALIZATION,
+    TraceKind.RETRIEVAL,
+    TraceKind.ROLLBACK,
+    TraceKind.RESUME,
+)
+
+
+def recovery_passes(system):
+    """The recovery trace kinds of ``system``, split at each DETECTION."""
+    passes = []
+    for event in system.trace.events:
+        if event.kind is TraceKind.DETECTION:
+            passes.append([])
+        if event.kind in PASS_PHASES:
+            passes[-1].append(event.kind)
+    return passes
 
 
 def result_fingerprint(result):
@@ -171,3 +197,62 @@ class TestConformance:
         assert policy.expected_loss_per_failure(spec, plan) > 0
         with pytest.raises(ValueError, match="unbound policy"):
             policy.expected_loss_per_failure()
+
+    def test_pass_typed_from_machines_down_when_it_starts(self, name):
+        # The hardware failure lands during the software failure's pass:
+        # the next pass replaces rank 5, so it is a hardware pass.
+        system = build_system(
+            name,
+            failures=[
+                FailureEvent(1003.0, FailureType.SOFTWARE, [3]),
+                FailureEvent(1100.0, FailureType.HARDWARE, [5]),
+            ],
+        )
+        result = system.run(3 * HOUR)
+        assert [(r.failure_type, r.failed_ranks) for r in result.recoveries] == [
+            (FailureType.SOFTWARE, [3]),
+            (FailureType.HARDWARE, [5]),
+        ]
+
+    def test_failure_on_replaced_rank_gets_its_own_pass(self, name):
+        # Rank 3's replacement crashes at 1500 s.  A persistent recovery
+        # is still retrieving then; its pass must not restart the rank
+        # silently.
+        system = build_system(
+            name,
+            failures=[
+                FailureEvent(1003.0, FailureType.HARDWARE, [3]),
+                FailureEvent(1500.0, FailureType.SOFTWARE, [3]),
+            ],
+        )
+        result = system.run(3 * HOUR)
+        first, second = result.recoveries
+        assert (first.failure_type, first.failed_ranks) == (
+            FailureType.HARDWARE,
+            [3],
+        )
+        if not first.from_cpu_memory:
+            assert first.retrieval_done_at > 1500.0
+        assert (second.failure_type, second.failed_ranks) == (
+            FailureType.SOFTWARE,
+            [3],
+        )
+
+    def test_each_pass_traces_the_loop_phases_in_order(self, name):
+        # The 7100 s failure lands during the 7000 s failure's pass, so
+        # the third pass starts from redetect().
+        system = build_system(
+            name,
+            failures=FAILURES + [FailureEvent(7100.0, FailureType.HARDWARE, [9])],
+        )
+        result = system.run(3 * HOUR)
+        passes = recovery_passes(system)
+        assert len(passes) == len(result.recoveries) == 3
+        for kinds, record in zip(passes, result.recoveries):
+            expected = [
+                kind
+                for kind in PASS_PHASES
+                if kind is not TraceKind.REPLACEMENT
+                or record.failure_type is FailureType.HARDWARE
+            ]
+            assert kinds == expected

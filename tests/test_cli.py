@@ -118,6 +118,25 @@ class TestSimulateCommand:
         assert first["type"] in ("span", "instant")
 
 
+    def test_every_policy_runs_the_same_detector(self, tmp_path):
+        from repro.trace import TraceKind, TraceLog
+
+        detected = {}
+        for policy in ("gemini", "strawman"):
+            events = tmp_path / f"{policy}.jsonl"
+            code = main([
+                "simulate", "--policy", policy, "--duration", "1800",
+                "--standby", "1", "--fail", "1003:hardware:3",
+                "--events-out", str(events),
+            ])
+            assert code == 0
+            log = TraceLog.load(str(events))
+            detected[policy] = log.of_kind(TraceKind.DETECTION)[0].time
+        # Lease expiry plus the next leader scan, for both policies.
+        assert detected["gemini"] == detected["strawman"]
+        assert 1003.0 < detected["gemini"] < 1003.0 + 20.0
+
+
 class TestObserveCommand:
     def _write_trace(self, tmp_path):
         trace = tmp_path / "trace.json"
