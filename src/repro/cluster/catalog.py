@@ -27,7 +27,8 @@ bandwidths, and no transit links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cluster.instances import (
     INSTANCE_CATALOG,
@@ -35,6 +36,9 @@ from repro.cluster.instances import (
     get_instance_type,
 )
 from repro.units import GB, gbps
+
+if TYPE_CHECKING:
+    from repro.network.topology import Position
 
 __all__ = [
     "A3_MEGAGPU_8G",
@@ -215,25 +219,61 @@ class ClusterSpec:
                         f"not divide rack count {num_racks}"
                     )
 
-    # -- composition -----------------------------------------------------------
+    # -- the per-rank slot table -------------------------------------------------
+    #
+    # A rank's shape and fabric position never change: replacements
+    # reuse their rank (Section 6.2).  So both are tabulated once, on
+    # first use, and every per-rank query below reads the table.  The
+    # cached values live in the instance ``__dict__`` and are not
+    # dataclass fields, so ``==``, ``hash`` and ``to_dict`` ignore them.
 
-    @property
+    @cached_property
     def num_machines(self) -> int:
         return sum(count for _shape, count in self.machines)
 
-    def instance_name_for_rank(self, rank: int) -> str:
+    @cached_property
+    def rank_slots(self) -> Tuple[Tuple[InstanceType, Optional["Position"]], ...]:
+        """``(instance type, position)`` for every rank, in rank order.
+
+        The position is a :class:`repro.network.topology.Position`, one
+        object shared by the rack's members, or ``None`` on a flat fabric.
+        """
+        shapes = [
+            get_instance_type(shape)
+            for shape, count in self.machines
+            for _ in range(count)
+        ]
+        if self.topology.is_flat:
+            return tuple((shape, None) for shape in shapes)
+        from repro.network.topology import Position
+
+        size = self.topology.rack_size
+        per_block = (
+            self.topology.racks_per_block
+            if self.topology.kind == "superblock"
+            else 0
+        )
+        positions = [
+            Position(rack=rack, block=rack // per_block if per_block else 0)
+            for rack in range(self.num_machines // size)
+        ]
+        return tuple(
+            (shape, positions[rank // size]) for rank, shape in enumerate(shapes)
+        )
+
+    def _slot(self, rank: int) -> Tuple[InstanceType, Optional["Position"]]:
         if not 0 <= rank < self.num_machines:
             raise KeyError(f"no rank {rank} in cluster of size {self.num_machines}")
-        offset = 0
-        for shape, count in self.machines:
-            if rank < offset + count:
-                return shape
-            offset += count
-        raise KeyError(f"no rank {rank}")  # pragma: no cover - guarded above
+        return self.rank_slots[rank]
+
+    # -- composition -----------------------------------------------------------
+
+    def instance_name_for_rank(self, rank: int) -> str:
+        return self._slot(rank)[0].name
 
     def instance_for_rank(self, rank: int) -> InstanceType:
         """The hardware shape filling ``rank`` (stable across replacements)."""
-        return get_instance_type(self.instance_name_for_rank(rank))
+        return self._slot(rank)[0]
 
     def primary_instance_type(self) -> InstanceType:
         """The first (largest-prefix) shape; used for workload planning."""
@@ -253,28 +293,21 @@ class ClusterSpec:
 
     def rack_of(self, rank: int) -> Optional[int]:
         """The rack holding ``rank``, or ``None`` on a flat fabric."""
-        if not 0 <= rank < self.num_machines:
-            raise KeyError(f"no rank {rank} in cluster of size {self.num_machines}")
-        if self.topology.is_flat:
-            return None
-        return rank // self.topology.rack_size
+        position = self._slot(rank)[1]
+        return None if position is None else position.rack
 
     def block_of(self, rank: int) -> Optional[int]:
         """The superblock holding ``rank``, or ``None`` off two-tier fabrics."""
-        rack = self.rack_of(rank)
-        if rack is None or self.topology.kind != "superblock":
+        position = self._slot(rank)[1]
+        if position is None or self.topology.kind != "superblock":
             return None
-        return rack // self.topology.racks_per_block
+        return position.block
 
-    def position_for_rank(self, rank: int):
+    def position_for_rank(self, rank: int) -> Optional["Position"]:
         """The machine's fabric attachment point (``None`` on flat)."""
-        from repro.network.topology import Position
+        return self._slot(rank)[1]
 
-        rack = self.rack_of(rank)
-        if rack is None:
-            return None
-        return Position(rack=rack, block=self.block_of(rank) or 0)
-
+    @cached_property
     def rack_members(self) -> Tuple[Tuple[int, ...], ...]:
         """Ranks grouped by rack (empty tuple on a flat fabric)."""
         if self.topology.is_flat:
@@ -287,8 +320,7 @@ class ClusterSpec:
 
     def fault_domains(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
         """Co-failing rank groups (racks), or ``None`` on a flat fabric."""
-        members = self.rack_members()
-        return members or None
+        return self.rack_members or None
 
     def build_topology(self):
         """Materialize the :class:`repro.network.topology.Topology` object.
@@ -307,10 +339,9 @@ class ClusterSpec:
         if self.topology.is_flat:
             return FlatTopology()
         rack_capacities: Dict[int, float] = {}
-        for rack, members in enumerate(self.rack_members()):
-            aggregate = sum(
-                self.instance_for_rank(rank).network_bandwidth for rank in members
-            )
+        slots = self.rank_slots
+        for rack, members in enumerate(self.rack_members):
+            aggregate = sum(slots[rank][0].network_bandwidth for rank in members)
             rack_capacities[rack] = aggregate / self.topology.oversubscription
         if self.topology.kind == "rack":
             return RackTopology(rack_capacities)

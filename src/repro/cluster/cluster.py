@@ -59,6 +59,11 @@ class Cluster:
         self.spec = spec
         #: the primary shape (group 0 of the spec, or the single SKU).
         self.instance_type = instance_type
+        #: ``(shape, position)`` per rank slot; replacements read it too.
+        self._slots = (
+            spec.rank_slots if spec is not None
+            else ((instance_type, None),) * num_machines
+        )
         self._id_counter = itertools.count()
         #: ranks that went down since last read healthy (a superset of the
         #: unhealthy ranks; :meth:`unhealthy_ranks` prunes it).
@@ -72,16 +77,10 @@ class Cluster:
     def _new_machine(self, rank: int) -> Machine:
         """Build the machine filling ``rank`` — shape and topology position
         come from the rank slot, so replacements inherit both."""
-        machine_id = f"m{next(self._id_counter):04d}"
-        if self.spec is not None:
-            machine = Machine(
-                machine_id,
-                rank,
-                self.spec.instance_for_rank(rank),
-                position=self.spec.position_for_rank(rank),
-            )
-        else:
-            machine = Machine(machine_id, rank, self.instance_type)
+        instance_type, position = self._slots[rank]
+        machine = Machine(
+            f"m{next(self._id_counter):04d}", rank, instance_type, position=position
+        )
         machine._down_ranks = self._down
         return machine
 

@@ -105,15 +105,24 @@ class Machine:
         self.instance_type = instance_type
         self.position = position
         self.state = MachineState.HEALTHY
-        self.gpus: List[GPU] = [
-            GPU(index=i, memory_bytes=instance_type.gpu_memory_bytes)
-            for i in range(instance_type.num_gpus)
-        ]
+        self._gpus: Optional[List[GPU]] = None
         self.cpu_memory_bytes = instance_type.cpu_memory_bytes
         self.cpu_memory_used = 0.0
         #: Incremented on every incarnation change; lets stale async events
         #: (e.g. a transfer completing after the machine died) detect staleness.
         self.epoch = 0
+
+    @property
+    def gpus(self) -> List[GPU]:
+        """The machine's accelerators, built on first access: the
+        simulation accounts checkpoints in CPU memory, so most machines
+        never need them."""
+        if self._gpus is None:
+            self._gpus = [
+                GPU(index=i, memory_bytes=self.instance_type.gpu_memory_bytes)
+                for i in range(self.instance_type.num_gpus)
+            ]
+        return self._gpus
 
     # -- health -------------------------------------------------------------
 
@@ -138,7 +147,7 @@ class Machine:
         self.state = MachineState.FAILED
         self.epoch += 1
         self.cpu_memory_used = 0.0
-        for gpu in self.gpus:
+        for gpu in self._gpus or ():
             gpu.used_bytes = 0.0
         self._went_down()
 

@@ -19,6 +19,7 @@ Ranks here are 0-indexed (the paper's pseudocode is 1-indexed).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -294,7 +295,21 @@ def resolve_placement(
     them — a flat fabric or a cluster built without a spec — it degrades
     to the paper's mixed placement, which is the correct behavior for the
     degenerate single-switch topology.
+
+    A placement is immutable and depends only on these arguments, so
+    every caller with equal arguments shares one object.
     """
+    key = tuple(tuple(domain) for domain in domains) if domains else None
+    return _resolve_placement(strategy, num_machines, num_replicas, key)
+
+
+@functools.lru_cache(maxsize=None)
+def _resolve_placement(
+    strategy: str,
+    num_machines: int,
+    num_replicas: int,
+    domains: "Tuple[Tuple[int, ...], ...] | None",
+) -> Placement:
     kind = PlacementStrategy(strategy)
     if kind is PlacementStrategy.GROUP:
         return group_placement(num_machines, num_replicas)

@@ -125,6 +125,8 @@ class GeminiPolicy(CheckpointPolicy):
         spec = kernel.cluster_spec
         topology = spec.build_topology() if spec is not None else None
         self.fabric = Fabric(kernel.sim, obs=kernel.obs, topology=topology)
+        #: one machine's checkpoint shard, the size of every hosted slot.
+        self._shard_bytes = kernel.spec.checkpoint_bytes_per_machine
         for machine in kernel.cluster:
             self._provision(machine.rank)
 
@@ -308,10 +310,8 @@ class GeminiPolicy(CheckpointPolicy):
             machine.instance_type.network_bandwidth,
             position=machine.position,
         )
-        shard = kernel.spec.checkpoint_bytes_per_machine
         store = CPUCheckpointStore(machine, obs=kernel.obs, plane=self.plane)
-        for owner in self.placement.hosted_by(rank):
-            store.host_shard(owner, shard)
+        store.host_shards(self.placement.hosted_by(rank), self._shard_bytes)
         self.stores[rank] = store
 
     def _serialize_replicas(self) -> Iterator:

@@ -417,11 +417,9 @@ def fig_topology_placement(
 
             sim = Simulator()
             fabric = Fabric(sim, topology=spec.build_topology())
-            for rank in range(n):
+            for rank, (instance, position) in enumerate(spec.rank_slots):
                 fabric.attach(
-                    f"m{rank}",
-                    spec.instance_for_rank(rank).network_bandwidth,
-                    position=spec.position_for_rank(rank),
+                    f"m{rank}", instance.network_bandwidth, position=position
                 )
             flows = []
             for rank in range(n):

@@ -167,20 +167,39 @@ class CPUCheckpointStore:
 
     # -- slot management ----------------------------------------------------------
 
-    def host_shard(self, rank: int, nbytes: float) -> ReplicaSlot:
-        """Reserve double-buffered space for ``rank``'s shard."""
+    def host_shards(self, owners: Sequence[int], nbytes: float) -> List[ReplicaSlot]:
+        """Reserve double-buffered space for each owner's shard, in order.
+
+        An owner already hosted (or listed twice) raises ``ValueError``,
+        and a shard that does not fit raises ``MemoryError``; either way
+        the shards before it stay hosted, as one call per shard would
+        leave them.  The hosted-replicas gauge is set once, if any shard
+        was hosted.
+        """
         self._check_valid()
-        if rank in self._slots:
-            raise ValueError(f"shard of rank {rank} already hosted on {self.machine}")
         if nbytes <= 0:
             raise ValueError(f"shard size must be > 0, got {nbytes}")
-        slot = ReplicaSlot(rank=rank, nbytes=nbytes)
-        self.machine.allocate_cpu_memory(
-            slot.reserved_bytes, what=f"checkpoint buffers for rank {rank}"
-        )
-        self._slots[rank] = slot
-        self._update_hosted_gauge()
-        return slot
+        slots = self._slots
+        allocate = self.machine.allocate_cpu_memory
+        hosted = []
+        try:
+            for rank in owners:
+                if rank in slots:
+                    raise ValueError(
+                        f"shard of rank {rank} already hosted on {self.machine}"
+                    )
+                slot = ReplicaSlot(rank=rank, nbytes=nbytes)
+                allocate(slot.reserved_bytes, what=f"checkpoint buffers for rank {rank}")
+                slots[rank] = slot
+                hosted.append(slot)
+        finally:
+            if hosted:
+                self._update_hosted_gauge()
+        return hosted
+
+    def host_shard(self, rank: int, nbytes: float) -> ReplicaSlot:
+        """Reserve double-buffered space for ``rank``'s shard."""
+        return self.host_shards((rank,), nbytes)[0]
 
     def hosted_ranks(self) -> List[int]:
         return sorted(self._slots)

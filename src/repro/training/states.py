@@ -14,6 +14,7 @@ machine's checkpoint shard is ``total / num_machines``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.training.models import ModelConfig
 
@@ -55,12 +56,15 @@ class ShardingSpec:
 
     # -- checkpoint (model states) sizes -------------------------------------
 
-    @property
+    # Both sizes are computed once per spec (it is frozen): a fleet build
+    # reads them for every machine it provisions.
+
+    @cached_property
     def checkpoint_bytes_total(self) -> float:
         """Full model-state checkpoint size across the job."""
         return self.model.total_parameters() * CHECKPOINT_BYTES_PER_PARAM
 
-    @property
+    @cached_property
     def checkpoint_bytes_per_machine(self) -> float:
         """One machine's checkpoint shard (what GEMINI replicates)."""
         return self.checkpoint_bytes_total / self.num_machines

@@ -1,5 +1,7 @@
 """Machine/cluster catalog: ClusterSpec, TopologySpec, and the presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -12,6 +14,7 @@ from repro.cluster import (
 )
 from repro.network.topology import (
     FlatTopology,
+    Position,
     RackTopology,
     SuperblockTopology,
 )
@@ -166,3 +169,175 @@ class TestHeterogeneousCluster:
             assert fresh.instance_type is old.instance_type
             assert fresh.position == old.position
             assert fresh.position.rack == spec.rack_of(rank)
+
+
+# -- the per-rank slot table ----------------------------------------------------
+#
+# Reference formulas: the per-call arithmetic the table replaced.  Each
+# table-backed query must return exactly what these return.
+
+
+def _ref_num_machines(spec):
+    return sum(count for _shape, count in spec.machines)
+
+
+def _ref_check(spec, rank):
+    if not 0 <= rank < _ref_num_machines(spec):
+        raise KeyError(
+            f"no rank {rank} in cluster of size {_ref_num_machines(spec)}"
+        )
+
+
+def _ref_instance(spec, rank):
+    _ref_check(spec, rank)
+    offset = 0
+    for shape, count in spec.machines:
+        if rank < offset + count:
+            return get_instance_type(shape)
+        offset += count
+
+
+def _ref_rack(spec, rank):
+    _ref_check(spec, rank)
+    if spec.topology.is_flat:
+        return None
+    return rank // spec.topology.rack_size
+
+
+def _ref_block(spec, rank):
+    rack = _ref_rack(spec, rank)
+    if rack is None or spec.topology.kind != "superblock":
+        return None
+    return rack // spec.topology.racks_per_block
+
+
+def _ref_position(spec, rank):
+    rack = _ref_rack(spec, rank)
+    if rack is None:
+        return None
+    return Position(rack=rack, block=_ref_block(spec, rank) or 0)
+
+
+def _ref_fault_domains(spec):
+    if spec.topology.is_flat:
+        return None
+    size = spec.topology.rack_size
+    return tuple(
+        tuple(range(start, start + size))
+        for start in range(0, _ref_num_machines(spec), size)
+    )
+
+
+def _ref_link_capacities(spec):
+    if spec.topology.is_flat:
+        return {}
+    rack_capacities = {}
+    for rack, members in enumerate(_ref_fault_domains(spec)):
+        aggregate = sum(
+            _ref_instance(spec, rank).network_bandwidth for rank in members
+        )
+        rack_capacities[rack] = aggregate / spec.topology.oversubscription
+    if spec.topology.kind == "rack":
+        topology = RackTopology(rack_capacities)
+    else:
+        per_block = spec.topology.racks_per_block
+        rack_to_block = {rack: rack // per_block for rack in rack_capacities}
+        block_capacities = {}
+        for rack in sorted(rack_capacities):
+            block = rack_to_block[rack]
+            block_capacities[block] = (
+                block_capacities.get(block, 0.0) + rack_capacities[rack]
+            )
+        for block in sorted(block_capacities):
+            block_capacities[block] /= spec.topology.block_oversubscription
+        topology = SuperblockTopology(
+            rack_capacities, rack_to_block, block_capacities
+        )
+    return {link.name: link.capacity for link in topology.links()}
+
+
+_TABLE_SPECS = [
+    *CLUSTER_CATALOG.values(),
+    # Three shapes whose group boundaries fall inside racks.
+    ClusterSpec(
+        name="test-hetero-rack",
+        machines=(
+            ("p4d.24xlarge", 3),
+            ("a3-megagpu-8g", 7),
+            ("a4-highgpu-8g", 2),
+        ),
+        topology=TopologySpec(kind="rack", rack_size=4, oversubscription=3.0),
+    ),
+    # A heterogeneous two-tier fabric: 3 blocks of 2 racks of 2.
+    ClusterSpec(
+        name="test-hetero-superblock",
+        machines=(("a3-ultragpu-8g", 5), ("a3-megagpu-8g", 7)),
+        topology=TopologySpec(
+            kind="superblock",
+            rack_size=2,
+            oversubscription=1.5,
+            racks_per_block=2,
+            block_oversubscription=3.0,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", _TABLE_SPECS, ids=lambda spec: spec.name)
+class TestSlotTable:
+    def test_per_rank_queries_match_the_formulas(self, spec):
+        n = _ref_num_machines(spec)
+        assert spec.num_machines == n
+        assert len(spec.rank_slots) == n
+        for rank in range(n):
+            assert spec.instance_for_rank(rank) is _ref_instance(spec, rank)
+            assert spec.instance_name_for_rank(rank) == _ref_instance(spec, rank).name
+            assert spec.rack_of(rank) == _ref_rack(spec, rank)
+            assert spec.block_of(rank) == _ref_block(spec, rank)
+            assert spec.position_for_rank(rank) == _ref_position(spec, rank)
+            assert spec.rank_slots[rank] == (
+                _ref_instance(spec, rank),
+                _ref_position(spec, rank),
+            )
+
+    def test_rack_members_share_one_position(self, spec):
+        for members in spec.fault_domains() or ():
+            positions = {id(spec.position_for_rank(rank)) for rank in members}
+            assert len(positions) == 1
+
+    def test_fault_domains_and_links_match_the_formulas(self, spec):
+        assert spec.fault_domains() == _ref_fault_domains(spec)
+        assert spec.rack_members == (_ref_fault_domains(spec) or ())
+        links = {
+            link.name: link.capacity for link in spec.build_topology().links()
+        }
+        # Exact: the table sums member bandwidths in the same order.
+        assert links == _ref_link_capacities(spec)
+
+    def test_out_of_range_ranks_raise_the_same_key_error(self, spec):
+        n = spec.num_machines
+        for rank in (-1, n, n + 7):
+            with pytest.raises(KeyError) as expected:
+                _ref_check(spec, rank)
+            for query in (
+                spec.instance_for_rank,
+                spec.instance_name_for_rank,
+                spec.rack_of,
+                spec.block_of,
+                spec.position_for_rank,
+            ):
+                with pytest.raises(KeyError) as got:
+                    query(rank)
+                assert got.value.args == expected.value.args
+
+    def test_identity_ignores_the_cached_table(self, spec):
+        fresh = ClusterSpec.from_dict(spec.to_dict())
+        assert "rank_slots" not in vars(fresh)
+        warm = ClusterSpec.from_dict(spec.to_dict())
+        warm.rank_slots, warm.fault_domains()
+        assert "rank_slots" in vars(warm)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert warm.to_dict() == fresh.to_dict() == spec.to_dict()
+        # A copy with other fields derives its own table.
+        assert "rank_slots" not in vars(dataclasses.replace(warm, name="other"))

@@ -35,6 +35,29 @@ class TestGPUMemory:
     def test_each_machine_has_eight_gpus(self, machine):
         assert len(machine.gpus) == 8
 
+    def test_gpus_are_built_once_with_the_shape_memory(self, machine):
+        gpus = machine.gpus
+        assert machine.gpus is gpus
+        assert [gpu.index for gpu in gpus] == list(range(8))
+        assert {gpu.memory_bytes for gpu in gpus} == {40 * GB}
+        assert all(gpu.used_bytes == 0.0 for gpu in gpus)
+
+    def test_hardware_failure_before_first_access(self, machine):
+        # GPUs are built on demand; a failure before any access leaves
+        # a full, empty set behind it.
+        machine.mark_failed()
+        assert len(machine.gpus) == 8
+        assert all(gpu.used_bytes == 0.0 for gpu in machine.gpus)
+        assert machine.gpus[0].free_bytes == 40 * GB
+
+    def test_hardware_failure_after_access_frees_every_gpu(self, machine):
+        for gpu in machine.gpus:
+            gpu.allocate(GB)
+        gpus = machine.gpus
+        machine.mark_failed()
+        assert machine.gpus is gpus
+        assert all(gpu.used_bytes == 0.0 for gpu in machine.gpus)
+
 
 class TestCPUMemory:
     def test_allocate_tracks_usage(self, machine):

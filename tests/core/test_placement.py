@@ -13,7 +13,14 @@ from repro.core.placement import (
     ring_placement,
     topology_aware_placement,
 )
+from repro.cluster import P4D_24XLARGE
+from repro.core.policy import GeminiConfig
+from repro.core.system import GeminiSystem
+from repro.experiments.scenario import Scenario
 from repro.frontier import reft_placement
+from repro.obs import Observability
+from repro.training import GPT2_100B
+from repro.units import DAY
 
 
 class TestGroupPlacement:
@@ -285,3 +292,80 @@ class TestTopologyAwarePlacement:
         assert flat == mixed_placement(16, 2)
         with pytest.raises(ValueError):
             resolve_placement("hilbert", 8, 2)
+
+
+class TestSharedPlacement:
+    """``resolve_placement`` memoizes: equal arguments share one object."""
+
+    def test_equal_arguments_share_one_placement(self):
+        assert resolve_placement("mixed", 9, 2) is resolve_placement("mixed", 9, 2)
+        domains = [[0, 1, 2, 3], [4, 5, 6, 7]]
+        as_lists = resolve_placement("topology", 8, 2, domains=domains)
+        as_tuples = resolve_placement(
+            "topology", 8, 2, domains=tuple(tuple(d) for d in domains)
+        )
+        assert as_lists is as_tuples
+        assert as_lists == topology_aware_placement(8, 2, domains)
+        # Without domains "topology" degrades to an equal mixed placement.
+        assert resolve_placement("topology", 8, 2) == resolve_placement("mixed", 8, 2)
+
+    def test_placement_is_frozen(self):
+        placement = resolve_placement("group", 8, 2)
+        with pytest.raises(AttributeError):
+            placement.num_replicas = 3
+        # Callers get copies of the hosted index, never the shared one.
+        placement.hosted_by(0).append(99)
+        assert placement.hosted_by(0) == [0, 1]
+
+    def test_bad_arguments_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                resolve_placement("mixed", 4, 5)
+
+
+SHARED_SCENARIO = Scenario(
+    name="shared-placement",
+    policy="gemini",
+    cluster="a3mega-rack4x4",
+    num_machines=16,
+    policy_kwargs={"placement_strategy": "topology", "use_agents": False},
+    failures_per_day=96.0,
+    software_fraction=0.5,
+    horizon_days=0.1,
+    seeds=(0,),
+)
+
+
+def _run(built):
+    system, _injector = built
+    result = system.run(SHARED_SCENARIO.horizon_days * DAY)
+    return result, system.trace.to_jsonl()
+
+
+class TestPlacementSharedAcrossSystems:
+    def test_systems_from_one_scenario_share_the_placement(self):
+        first, _ = SHARED_SCENARIO.build_system(0)
+        second, _ = SHARED_SCENARIO.build_system(1)
+        assert first.policy.placement is second.policy.placement
+
+    def test_results_do_not_depend_on_build_or_run_order(self):
+        alone = _run(SHARED_SCENARIO.build_system(0))
+        assert alone[0].recoveries, "the scenario must exercise recovery"
+        first = SHARED_SCENARIO.build_system(0)
+        second = SHARED_SCENARIO.build_system(0)
+        later = _run(second)
+        earlier = _run(first)
+        assert earlier[0] == later[0] == alone[0]
+        assert earlier[1] == later[1] == alone[1]
+
+    def test_hosted_gauges_count_each_stores_shards(self):
+        obs = Observability()
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 8, GeminiConfig(num_replicas=3), obs=obs
+        )
+        for store in system.policy.stores.values():
+            gauge = obs.metrics.sample(
+                "repro_cpu_ckpt_hosted_replicas",
+                {"machine": store.machine.machine_id},
+            )
+            assert gauge.value == len(store.hosted_ranks()) == 3

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineState, P4D_24XLARGE
+from repro.obs import Observability
 from repro.storage import CPUCheckpointStore
 from repro.units import GB
 
@@ -35,6 +36,64 @@ class TestHosting:
         store = CPUCheckpointStore(machine)
         with pytest.raises(MemoryError):
             store.host_shard(rank=0, nbytes=600 * GB)  # x2 buffers > 1152 GB
+
+
+class TestHostShards:
+    """``host_shards`` is the one hosting path: it must leave a store and
+    its machine exactly as one ``host_shard`` call per owner would."""
+
+    def test_hosts_in_one_call(self, machine):
+        store = CPUCheckpointStore(machine)
+        slots = store.host_shards([4, 1, 9], 10 * GB)
+        assert [slot.rank for slot in slots] == [4, 1, 9]
+        assert store.hosted_ranks() == [1, 4, 9]
+        assert machine.cpu_memory_used == 60 * GB
+
+    def test_oom_stops_on_the_overflowing_shard(self):
+        # 250 GB x 2 buffers per shard: the third shard overflows 1152 GB.
+        bulk = Machine("m0", 0, P4D_24XLARGE)
+        store = CPUCheckpointStore(bulk)
+        with pytest.raises(MemoryError, match="rank 2"):
+            store.host_shards([0, 1, 2, 3], 250 * GB)
+        looped = Machine("m1", 0, P4D_24XLARGE)
+        reference = CPUCheckpointStore(looped)
+        with pytest.raises(MemoryError, match="rank 2"):
+            for owner in [0, 1, 2, 3]:
+                reference.host_shard(owner, 250 * GB)
+        assert bulk.cpu_memory_used == looped.cpu_memory_used == 1000 * GB
+        assert store.hosted_ranks() == reference.hosted_ranks() == [0, 1]
+
+    def test_duplicate_owner_rejected(self, machine):
+        store = CPUCheckpointStore(machine)
+        with pytest.raises(ValueError, match="rank 3 already hosted"):
+            store.host_shards([3, 5, 3], GB)
+        assert store.hosted_ranks() == [3, 5]
+        assert machine.cpu_memory_used == 4 * GB
+        with pytest.raises(ValueError, match="rank 5 already hosted"):
+            store.host_shards([5], GB)
+
+    def test_non_positive_size_rejected(self, machine):
+        store = CPUCheckpointStore(machine)
+        with pytest.raises(ValueError, match="shard size"):
+            store.host_shards([0], 0.0)
+        assert store.hosted_ranks() == []
+
+    def test_hosted_gauge_counts_the_hosted_shards(self):
+        obs = Observability()
+        obs.bind_clock(lambda: 42.0)
+        machine = Machine("m7", 0, P4D_24XLARGE)
+        store = CPUCheckpointStore(machine, obs=obs)
+        name, labels = "repro_cpu_ckpt_hosted_replicas", {"machine": "m7"}
+        with pytest.raises(MemoryError):
+            store.host_shards([0], 600 * GB)
+        # Nothing hosted: no series, as a failed host_shard leaves none.
+        assert obs.metrics.sample(name, labels) is None
+        store.host_shards([0, 1, 2], GB)
+        gauge = obs.metrics.sample(name, labels)
+        assert gauge.value == 3.0
+        assert gauge.last_updated == 42.0
+        store.host_shard(3, GB)
+        assert gauge.value == 4.0
 
 
 class TestWriteProtocol:
