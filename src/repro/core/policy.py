@@ -156,37 +156,53 @@ class GeminiPolicy(CheckpointPolicy):
         assume_healthy: Tuple[int, ...] = (),
     ) -> None:
         interval = self.config.checkpoint_interval_iterations
-        commits = [
-            (iteration, boundary_times[iteration - first])
-            for iteration in range(first, last + 1)
-            if iteration % interval == 0
-        ]
+        # The replayed commits are the multiples of the interval in
+        # [first, last]: start, start + interval, ..., final.
+        start = first + (-first) % interval
+        final = last - last % interval
+        if start > final:
+            return
         # Store slots are last-write-wins double buffers, so only the
-        # batch's final commit has to touch them; every earlier commit
-        # still records its trace/metric effects at its own boundary, and
-        # the stores count the writes it stands for.  A store the failure
-        # being replayed destroyed took every one of them, the last too.
-        if commits and self.kernel.obs.enabled:
-            every = [iteration for iteration, _at in commits]
+        # final commit writes them; the commits before it are recorded as
+        # one trace run with their metric effects at their own boundaries,
+        # and the stores count the writes they stand for.  A store the
+        # failure being replayed destroyed took every one of them, the
+        # final one too.
+        if self.kernel.obs.enabled:
+            every = range(start, final + 1, interval)
             for storer, store in self.stores.items():
                 if store.machine.is_healthy or storer in assume_healthy:
-                    store.count_commits(
-                        every[:-1] if store.valid else every
-                    )
-        for index, (iteration, at) in enumerate(commits):
-            self.commit_checkpoint(
-                iteration,
-                at=at,
-                write_stores=index == len(commits) - 1,
-                assume_healthy=assume_healthy,
+                    store.count_commits(every[:-1] if store.valid else every)
+        if final > start:
+            self._replay_commits(
+                start,
+                final,
+                interval,
+                boundary_times[start - first:final - first:interval],
             )
+        self.commit_checkpoint(
+            final, at=boundary_times[final - first], assume_healthy=assume_healthy
+        )
+
+    def _replay_commits(
+        self, start: int, stop: int, interval: int, times: Sequence[float]
+    ) -> None:
+        """Record the commits of ``start, start + interval, ...`` below
+        ``stop`` at ``times``, writing no store: one trace run, and with
+        observability on each commit's metric effects in order."""
+        kernel = self.kernel
+        kernel.trace.record_run(
+            TraceKind.CHECKPOINT_COMMIT, "iteration", start, interval, times
+        )
+        if kernel.obs.enabled:
+            for iteration, at in zip(range(start, stop, interval), times):
+                self._observe_commit(iteration, at)
 
     def commit_checkpoint(
         self,
         iteration: int,
         *,
         at: Optional[float] = None,
-        write_stores: bool = True,
         assume_healthy: Tuple[int, ...] = (),
     ) -> None:
         """Coarse-grain per-iteration checkpoint commit.
@@ -203,50 +219,50 @@ class GeminiPolicy(CheckpointPolicy):
         """
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
-        if write_stores:
-            # After the freeze every clean store is a storer this commit
-            # writes, so raising the watermark writes all of them.  A valid
-            # store's machine still holds its rank: replacement needs the
-            # old hardware dead, which invalidates the store.
-            self._freeze_down(assume_healthy)
-            plane = self.plane
-            if kernel.obs.enabled:
-                for store in self.stores.values():
-                    if store.clean:
-                        store.count_commits((iteration,))
-            plane.advance(iteration)
-            for storer, store in list(plane.diverged.items()):
-                if store.valid and (
-                    store.machine.is_healthy or storer in assume_healthy
-                ):
-                    store.commit_all(iteration)
-                    store.rejoin()
+        # After the freeze every clean store is a storer this commit
+        # writes, so raising the watermark writes all of them.  A valid
+        # store's machine still holds its rank: replacement needs the old
+        # hardware dead, which invalidates the store.
+        self._freeze_down(assume_healthy)
+        plane = self.plane
+        if kernel.obs.enabled:
+            for store in self.stores.values():
+                if store.clean:
+                    store.count_commits((iteration,))
+        plane.advance(iteration)
+        for storer, store in list(plane.diverged.items()):
+            if store.valid and (store.machine.is_healthy or storer in assume_healthy):
+                store.commit_all(iteration)
+                store.rejoin()
         if iteration > 0:
             kernel.committed_iteration = iteration
             kernel.trace.record(
                 now, TraceKind.CHECKPOINT_COMMIT, iteration=iteration
             )
             if kernel.obs.enabled:
-                metrics = kernel.obs.metrics
-                metrics.counter(
-                    "repro_checkpoint_commits_total",
-                    help="cluster-wide checkpoint commits (durable iterations)",
-                ).inc()
-                metrics.counter(
-                    "repro_checkpoint_commit_bytes_total",
-                    help="bytes made durable per cluster-wide commit",
-                ).inc(
-                    kernel.spec.checkpoint_bytes_total * self.config.num_replicas
-                )
-                if kernel._last_commit_at is not None:
-                    metrics.histogram(
-                        "repro_commit_interval_seconds",
-                        help="time between consecutive checkpoint commits",
-                    ).observe(now - kernel._last_commit_at)
-                kernel._last_commit_at = now
-                kernel.obs.tracer.instant(
-                    "checkpoint.commit", track="checkpoint", iteration=iteration
-                )
+                self._observe_commit(iteration, now)
+
+    def _observe_commit(self, iteration: int, at: float) -> None:
+        """The metric effects of one cluster-wide commit at ``at``."""
+        kernel = self.kernel
+        metrics = kernel.obs.metrics
+        metrics.counter(
+            "repro_checkpoint_commits_total",
+            help="cluster-wide checkpoint commits (durable iterations)",
+        ).inc()
+        metrics.counter(
+            "repro_checkpoint_commit_bytes_total",
+            help="bytes made durable per cluster-wide commit",
+        ).inc(kernel.spec.checkpoint_bytes_total * self.config.num_replicas)
+        if kernel._last_commit_at is not None:
+            metrics.histogram(
+                "repro_commit_interval_seconds",
+                help="time between consecutive checkpoint commits",
+            ).observe(at - kernel._last_commit_at)
+        kernel._last_commit_at = at
+        kernel.obs.tracer.instant(
+            "checkpoint.commit", track="checkpoint", iteration=iteration
+        )
 
     def _freeze_down(self, assume_healthy: Tuple[int, ...] = ()) -> None:
         """Diverge the clean stores of down ranks at the watermark.

@@ -5,8 +5,12 @@ checkpoints landed, failures struck, recovery phases ran — so experiments
 can be analyzed after the fact (and Figure 14-style timelines rendered
 from real runs rather than from summary counters).
 
-The log is append-only and time-ordered; query helpers slice by kind and
-time window, and :func:`render_trace` produces a human-readable transcript.
+The log is append-only and time-ordered, and runs expand on read: a
+macro-tick replay records its stretch of commits as one *run* (kind,
+detail key, first value, step, times), and :attr:`TraceLog.events`
+expands each run into the events one ``record`` call per time would
+have made.  Query helpers slice by kind and time window, and
+:func:`render_trace` produces a human-readable transcript.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.units import fmt_seconds
 
@@ -55,21 +59,88 @@ class TraceEvent:
         return f"[{fmt_seconds(self.time):>10}] {self.kind.value:<21} {parts}"
 
 
+class _Run:
+    """Events of one kind whose detail is ``{key: first + k * step}`` at
+    ``times[k]``: a replayed stretch of commits, kept unexpanded."""
+
+    __slots__ = ("kind", "key", "first", "step", "times")
+
+    def __init__(
+        self, kind: TraceKind, key: str, first: int, step: int, times: List[float]
+    ):
+        self.kind = kind
+        self.key = key
+        self.first = first
+        self.step = step
+        self.times = times
+
+    def expand(self) -> Iterable[TraceEvent]:
+        kind, key, value, step = self.kind, self.key, self.first, self.step
+        for time in self.times:
+            yield TraceEvent(time=time, kind=kind, detail={key: value})
+            value += step
+
+
 class TraceLog:
-    """Append-only, time-ordered event log."""
+    """Append-only, time-ordered event log.
+
+    Events land in :attr:`events` as they are recorded, except that a
+    run (:meth:`record_run`) and whatever follows it wait in a tail that
+    the next read of :attr:`events` expands, in order.
+    """
 
     def __init__(self):
-        self.events: List[TraceEvent] = []
+        self._events: List[TraceEvent] = []
+        self._tail: List[Union[TraceEvent, _Run]] = []
+        self._last_time: Optional[float] = None
+
+    def _check_time(self, time: float) -> None:
+        if self._last_time is not None and time < self._last_time - 1e-9:
+            raise ValueError(
+                f"trace time went backwards: {time} after {self._last_time}"
+            )
 
     def record(self, time: float, kind: TraceKind, **detail: Any) -> TraceEvent:
         """Append one event (time must be non-decreasing)."""
-        if self.events and time < self.events[-1].time - 1e-9:
-            raise ValueError(
-                f"trace time went backwards: {time} after {self.events[-1].time}"
-            )
+        self._check_time(time)
         event = TraceEvent(time=time, kind=kind, detail=detail)
-        self.events.append(event)
+        (self._tail if self._tail else self._events).append(event)
+        self._last_time = time
         return event
+
+    def record_run(
+        self,
+        kind: TraceKind,
+        key: str,
+        first: int,
+        step: int,
+        times: Sequence[float],
+    ) -> None:
+        """Append ``len(times)`` events at once: the ``k``-th is ``kind`` at
+        ``times[k]`` with detail ``{key: first + k * step}``.
+
+        The same events as one :meth:`record` call per time, expanded only
+        when :attr:`events` is read.  ``times`` must be non-decreasing and
+        start no earlier than the last recorded time.
+        """
+        if not times:
+            return
+        self._check_time(times[0])
+        self._tail.append(_Run(kind, key, first, step, list(times)))
+        self._last_time = times[-1]
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every recorded event in order, runs expanded (and kept so)."""
+        if self._tail:
+            events = self._events
+            for entry in self._tail:
+                if isinstance(entry, _Run):
+                    events.extend(entry.expand())
+                else:
+                    events.append(entry)
+            self._tail = []
+        return self._events
 
     # -- queries ---------------------------------------------------------------
 

@@ -18,6 +18,8 @@ the module tally advances by exactly the per-run count.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.degrade import (
     BandwidthDegradationInjector,
@@ -25,7 +27,7 @@ from repro.chaos.degrade import (
     StragglerInjector,
 )
 from repro.cluster import P4D_24XLARGE
-from repro.core.kernel import SimulatedTrainingSystem
+from repro.core.kernel import SimulatedTrainingSystem, _boundary_chain
 from repro.experiments import available_policies, create_policy
 from repro.failures import (
     FailureEvent,
@@ -37,6 +39,7 @@ from repro.failures.injector import apply_failure
 from repro.obs import Observability
 from repro.obs.export import to_prometheus
 from repro.sim import RandomStreams, events_tally
+from repro.trace import TraceKind
 from repro.training import GPT2_100B
 from repro.units import DAY, HOUR
 
@@ -64,12 +67,12 @@ DEGRADATIONS = {
 }
 
 
-def run_once(name, seed, *, macro_ticks, degradations=(), obs=None):
+def run_once(name, seed, *, macro_ticks, degradations=(), obs=None, **policy_kwargs):
     """One failure/recovery run; returns (system, result)."""
     if name == AGENT_MODE:
-        policy = create_policy("gemini", use_agents=True)
+        policy = create_policy("gemini", use_agents=True, **policy_kwargs)
     else:
-        policy = create_policy(name, use_agents=False)
+        policy = create_policy(name, use_agents=False, **policy_kwargs)
     system = SimulatedTrainingSystem(
         GPT2_100B,
         P4D_24XLARGE,
@@ -107,6 +110,16 @@ def fingerprint(system, result):
     )
 
 
+def exported(obs):
+    """The Prometheus text of a run's metrics, less the DES's own event
+    counters (a coalesced run fires fewer events)."""
+    return [
+        line
+        for line in to_prometheus(obs.metrics).splitlines()
+        if not line.startswith(SIM_COUNTERS)
+    ]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", POLICIES)
 def test_macro_ticks_bit_exact_vs_per_iteration(name, seed):
@@ -134,16 +147,80 @@ def test_macro_ticks_metrics_match_per_iteration(name):
     macro tick counts the store writes its replayed commits stand for);
     only the DES's own event counters differ."""
 
-    def exported(macro_ticks):
+    def metrics(macro_ticks):
         obs = Observability()
         run_once(name, 0, macro_ticks=macro_ticks, obs=obs)
-        return [
-            line
-            for line in to_prometheus(obs.metrics).splitlines()
-            if not line.startswith(SIM_COUNTERS)
-        ]
+        return exported(obs)
 
-    assert exported(True) == exported(False)
+    assert metrics(True) == metrics(False)
+
+
+# ------------------------------------------------------- commit intervals
+#
+# With a commit every few iterations, a replayed stretch of iterations
+# starts and ends off the commit grid; its commits are worked out from
+# the interval, the stretch's ends and its boundary times.
+
+INTERVAL_POLICIES = ("checkmate", "gemini", "sparse_moe")
+
+#: 6 experts over a period of 4: iterations dirty 2, 1, 1 or 2 experts
+#: by residue (the default 16 dirty 4 at every residue), so replayed
+#: dirty bytes depend on which iterations committed.
+POLICY_KWARGS = {"sparse_moe": {"num_experts": 6}}
+
+
+@pytest.mark.parametrize("mix", ("none", "all"))
+@pytest.mark.parametrize("interval", (1, 3, 4))
+@pytest.mark.parametrize("name", INTERVAL_POLICIES)
+def test_macro_ticks_bit_exact_at_commit_interval(name, interval, mix):
+    def observed(macro_ticks):
+        obs = Observability()
+        system, result = run_once(
+            name,
+            0,
+            macro_ticks=macro_ticks,
+            degradations=DEGRADATIONS[mix],
+            obs=obs,
+            checkpoint_interval_iterations=interval,
+            **POLICY_KWARGS.get(name, {}),
+        )
+        replicated = getattr(system.policy, "replicated_bytes", None)
+        return system, (fingerprint(system, result), exported(obs), replicated)
+
+    fast_system, fast = observed(True)
+    slow_system, slow = observed(False)
+    assert fast == slow
+    commits = fast_system.trace.of_kind(TraceKind.CHECKPOINT_COMMIT)
+    assert len(commits) > 20
+    assert all(event.detail["iteration"] % interval == 0 for event in commits)
+    assert fast_system.sim.events_processed < slow_system.sim.events_processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    now=st.floats(min_value=0.0, max_value=1e7),
+    step=st.floats(min_value=1e-3, max_value=1e4),
+    fraction=st.one_of(
+        st.none(), st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    ),
+    count=st.integers(min_value=1, max_value=300),
+)
+def test_boundary_chain_is_the_per_iteration_fold(now, step, fraction, count):
+    """A window's boundaries and gradient points equal the explicit
+    per-iteration loop's, float for float."""
+    t = now
+    boundaries = []
+    gradients = None if fraction is None else []
+    for _ in range(count):
+        if fraction is None:
+            t = t + step
+        else:
+            head = step * fraction
+            g = t + head
+            t = g + (step - head)
+            gradients.append(g)
+        boundaries.append(t)
+    assert _boundary_chain(now, step, count, fraction) == (boundaries, gradients)
 
 
 def test_events_accounting_documented_consistent_under_coalescing():
@@ -255,12 +332,7 @@ def run_scripted(failures, scales, *, macro_ticks):
             at, lambda scale=scale: setattr(system, "iteration_scale", scale)
         )
     result = system.run(SCRIPTED_HORIZON)
-    metrics = [
-        line
-        for line in to_prometheus(obs.metrics).splitlines()
-        if not line.startswith(SIM_COUNTERS)
-    ]
-    return fingerprint(system, result), metrics
+    return fingerprint(system, result), exported(obs)
 
 
 def tie_case(case):

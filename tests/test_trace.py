@@ -1,8 +1,10 @@
 """Structured event tracing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.trace import TraceKind, TraceLog, render_trace
+from repro.trace import TraceEvent, TraceKind, TraceLog, render_trace
 
 
 @pytest.fixture
@@ -112,6 +114,143 @@ class TestJsonlRoundTrip:
         restored = TraceLog.load(str(path))
         assert len(restored) == len(log)
         assert restored.last(TraceKind.RESUME).detail == {"overhead": 430.0}
+
+
+# ------------------------------------------------------------------ runs
+#
+# A run stands for the events one ``record`` call per time would have
+# made; every reader must see exactly those events.
+
+gaps = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+#: an op: one plain event, one commit run, or a read of ``events``.
+ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            gaps,
+            st.sampled_from(
+                [TraceKind.FAILURE, TraceKind.DETECTION, TraceKind.CHECKPOINT_COMMIT]
+            ),
+            st.integers(0, 9),
+        ),
+        st.tuples(
+            st.just("run"),
+            st.integers(1, 500),
+            st.integers(1, 4),
+            st.lists(gaps, max_size=8),
+        ),
+        st.just(("read",)),
+    ),
+    max_size=12,
+)
+
+
+def build_logs(script):
+    """The script recorded with runs (``lazy``) and one event at a time
+    (``eager``); ``read`` ops read the lazy log's events mid-way."""
+    lazy, eager = TraceLog(), TraceLog()
+    time = 0.0
+    for op in script:
+        if op[0] == "record":
+            _, gap, kind, value = op
+            time += gap
+            key = "iteration" if kind is TraceKind.CHECKPOINT_COMMIT else "ranks"
+            detail = {key: value}
+            lazy.record(time, kind, **detail)
+            eager.record(time, kind, **detail)
+        elif op[0] == "run":
+            _, first, step, run_gaps = op
+            times = []
+            for gap in run_gaps:
+                time += gap
+                times.append(time)
+            lazy.record_run(TraceKind.CHECKPOINT_COMMIT, "iteration", first, step, times)
+            for k, at in enumerate(times):
+                eager.record(at, TraceKind.CHECKPOINT_COMMIT, iteration=first + k * step)
+        else:
+            assert len(lazy.events) == len(eager.events)
+    return lazy, eager, time
+
+
+READERS = {
+    "len": len,
+    "events": lambda log: log.events,
+    "of_kind": lambda log: [log.of_kind(kind) for kind in TraceKind],
+    "count": lambda log: [log.count(kind) for kind in TraceKind],
+    "last": lambda log: [log.last(kind) for kind in TraceKind],
+    "phase_durations": lambda log: (
+        log.phase_durations(TraceKind.FAILURE, TraceKind.DETECTION),
+        log.phase_durations(TraceKind.CHECKPOINT_COMMIT, TraceKind.FAILURE),
+    ),
+    "to_jsonl": lambda log: log.to_jsonl(),
+    "render": lambda log: [render_trace(log, limit=limit) for limit in (None, 0, 1, 5)],
+    "render_kinds": lambda log: render_trace(log, kinds=[TraceKind.CHECKPOINT_COMMIT]),
+    "round_trip": lambda log: TraceLog.from_jsonl(log.to_jsonl()).to_jsonl(),
+}
+
+
+class TestRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(script=ops)
+    def test_runs_read_as_recorded_events(self, script):
+        _, eager, end = build_logs(script)
+        for name, read in READERS.items():
+            lazy, _, _ = build_logs(script)  # each reader expands afresh
+            assert read(lazy) == read(eager), name
+        for start, stop in ((0.0, end), (end / 3, end / 2), (end, end)):
+            lazy, _, _ = build_logs(script)
+            assert lazy.between(start, stop) == eager.between(start, stop)
+
+    def run_log(self):
+        log = TraceLog()
+        log.record(1.0, TraceKind.FAILURE, ranks=[2])
+        log.record_run(TraceKind.CHECKPOINT_COMMIT, "iteration", 3, 3, [2.0, 4.0, 6.0])
+        return log
+
+    def test_run_expands_in_order(self):
+        assert self.run_log().events == [
+            TraceEvent(1.0, TraceKind.FAILURE, {"ranks": [2]}),
+            TraceEvent(2.0, TraceKind.CHECKPOINT_COMMIT, {"iteration": 3}),
+            TraceEvent(4.0, TraceKind.CHECKPOINT_COMMIT, {"iteration": 6}),
+            TraceEvent(6.0, TraceKind.CHECKPOINT_COMMIT, {"iteration": 9}),
+        ]
+
+    def test_record_before_a_runs_last_time_rejected(self):
+        log = self.run_log()
+        with pytest.raises(ValueError):
+            log.record(5.0, TraceKind.RESUME)
+        assert len(log) == 4
+
+    def test_run_starting_before_the_last_record_rejected(self):
+        log = self.run_log()
+        log.record(7.0, TraceKind.RESUME)
+        with pytest.raises(ValueError):
+            log.record_run(TraceKind.CHECKPOINT_COMMIT, "iteration", 10, 1, [6.5, 8.0])
+        assert len(log) == 5
+
+    def test_record_after_reading_events_still_appends(self):
+        log = self.run_log()
+        assert len(log.events) == 4
+        event = log.record(7.0, TraceKind.RESUME)
+        assert log.events[-1] is event
+        log.record_run(TraceKind.CHECKPOINT_COMMIT, "iteration", 12, 3, [8.0])
+        assert len(log) == 6
+        assert log.last(TraceKind.CHECKPOINT_COMMIT).detail == {"iteration": 12}
+
+    def test_empty_run_records_nothing(self):
+        log = TraceLog()
+        log.record(3.0, TraceKind.FAILURE)
+        log.record_run(TraceKind.CHECKPOINT_COMMIT, "iteration", 1, 1, [])
+        log.record(3.0, TraceKind.DETECTION)
+        assert [event.kind for event in log.events] == [
+            TraceKind.FAILURE,
+            TraceKind.DETECTION,
+        ]
+
+    def test_events_has_no_setter(self):
+        with pytest.raises(AttributeError):
+            TraceLog().events = []
 
 
 class TestSystemTracing:
