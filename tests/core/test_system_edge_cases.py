@@ -88,6 +88,35 @@ class TestDroppedMidRecovery:
         gc.collect()
         assert live_machines() == before
 
+    def test_run_closes_the_recovery_the_horizon_cut_off(self):
+        """The close lands at the horizon, inside ``run``, whenever the
+        collector later frees the system; the flag still says the run
+        ended mid-recovery."""
+        system = GeminiSystem(
+            GPT2_100B, P4D_24XLARGE, 16, config=GeminiConfig(use_agents=False)
+        )
+        TraceFailureInjector(
+            system.sim,
+            system.cluster,
+            [FailureEvent(1000.0, FailureType.HARDWARE, [3])],
+            system.inject_failure,
+        )
+        closed_at = []
+        recover = system.policy.recover
+
+        def watched(detected):
+            try:
+                yield from recover(detected)
+            except GeneratorExit:
+                closed_at.append(system.sim.now)
+                raise
+
+        system.policy.recover = watched
+        system.run(1000.0 + 2 * MINUTE)
+        assert closed_at == [1000.0 + 2 * MINUTE]
+        assert system.recovery_active
+        assert not system.recoveries
+
 
 class TestLightweightMode:
     def test_group_wipe_in_lightweight_mode(self):
