@@ -261,7 +261,7 @@ class GeminiPolicy(CheckpointPolicy):
             ).observe(at - kernel._last_commit_at)
         kernel._last_commit_at = at
         kernel.obs.tracer.instant(
-            "checkpoint.commit", track="checkpoint", iteration=iteration
+            "checkpoint.commit", time=at, track="checkpoint", iteration=iteration
         )
 
     def _freeze_down(self, assume_healthy: Tuple[int, ...] = ()) -> None:

@@ -12,17 +12,14 @@ busy time is interval-accounted per link, not scanned), and the rate
 recompute touches only flows on links whose flow count changed since the
 last recompute — the assigned rates are bit-identical to a full recompute
 because a fair share depends only on the link's own flow count.  The naive
-from-scratch model lives in :mod:`repro.network.reference` and the
+from-scratch model lives in ``tests/network/reference.py`` and the
 differential test pins the two against each other on random workloads.
 
-Active-flow state is flyweight-indexed: every active flow occupies a slot
-``_pos`` in the fabric's parallel numpy ``_rem``/``_rates`` arrays, and the
-hot loops — settle, next-finish scan, finished detection — walk those
-arrays instead of chasing Flow objects.  Slots are compacted with
-swap-remove, so iteration order over ``_act`` is insertion order, not set
-order.  Below ``_VECTOR_MIN`` active flows numpy's per-call overhead costs
-more than a scalar loop over the same arrays; arithmetic is elementwise
-float64 either way, so the vector and scalar paths are bit-identical.
+Each flow carries its own progress (``remaining``, ``rate``); the fabric
+keeps the active ones in one list, ``_act``, that settle, the next-finish
+scan and finished detection each walk once.  A flow's ``_pos`` is its
+index there, so removal is an O(1) swap with the last active flow, and
+iteration order over ``_act`` is insertion order, not set order.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Dict, List, Optional, Set
-
-import numpy as _np
 
 from repro.sim import Event, Simulator
 
@@ -44,11 +39,6 @@ _EPS = 1.0
 # at t~100 s the float64 time resolution is ~1e-14 s, and a residue's
 # finish delta can fall below it, freezing the clock.
 _MIN_WAKEUP = 1e-9
-# Below this many active flows the scalar loops beat numpy's per-call
-# overhead; both paths are elementwise float64, so results are identical.
-_VECTOR_MIN = 32
-# Initial slot-array capacity; grows by doubling.
-_INITIAL_SLOTS = 64
 
 
 class TransferAborted(Exception):
@@ -106,48 +96,30 @@ class Flow:
     The ``done`` event succeeds with the flow when the last byte lands, or
     fails with :class:`TransferAborted` if an endpoint dies first.
 
-    While active, a flow's progress lives in the fabric's slot arrays at
-    index ``_pos`` (flyweight: the object holds an index, not the hot
-    state); the ``remaining``/``rate`` properties read through to the
-    arrays.  Before activation and after removal ``_pos`` is -1 and the
-    scalars ``_remaining``/``_rate`` hold the snapshot.
+    ``remaining`` (bytes left to deliver) and ``rate`` (the assigned fair
+    share) advance while the flow is active and keep their last values
+    after it finishes or aborts.  ``_pos`` is the flow's index in the
+    fabric's active list, or -1 while it is not active.
     """
 
     __slots__ = (
-        "flow_id", "fabric", "links", "nbytes", "_remaining", "tag",
-        "_rate", "_pos", "done", "started_at", "finished_at",
+        "flow_id", "links", "nbytes", "remaining", "tag", "rate", "_pos",
+        "done", "started_at", "finished_at",
     )
 
     _ids = itertools.count()
 
     def __init__(self, fabric: "Fabric", links: List[Link], nbytes: float, tag: str):
         self.flow_id = next(Flow._ids)
-        self.fabric = fabric
         self.links = links
         self.nbytes = float(nbytes)
-        self._remaining = float(nbytes)
+        self.remaining = float(nbytes)
         self.tag = tag
-        self._rate = 0.0
+        self.rate = 0.0
         self._pos = -1
         self.done: Event = fabric.sim.event(name=f"Flow({tag})")
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-
-    @property
-    def remaining(self) -> float:
-        """Bytes left to deliver (array-backed while the flow is active)."""
-        pos = self._pos
-        if pos >= 0:
-            return float(self.fabric._rem[pos])
-        return self._remaining
-
-    @property
-    def rate(self) -> float:
-        """Current assigned rate (array-backed while the flow is active)."""
-        pos = self._pos
-        if pos >= 0:
-            return float(self.fabric._rates[pos])
-        return self._rate
 
     def __repr__(self) -> str:
         return f"<Flow#{self.flow_id} {self.tag} {self.remaining:.0f}B left>"
@@ -167,13 +139,8 @@ class Fabric:
         self._topology = topology
         self._egress: Dict[str, Link] = {}
         self._ingress: Dict[str, Link] = {}
-        #: active flows, index-aligned with the slot arrays below.
+        #: active flows; each flow's ``_pos`` is its index here.
         self._act: List[Flow] = []
-        #: parallel slot arrays holding each active flow's remaining bytes
-        #: and assigned rate; swap-remove compacted, ``_n`` slots in use.
-        self._rem = _np.zeros(_INITIAL_SLOTS)
-        self._rates = _np.zeros(_INITIAL_SLOTS)
-        self._n = 0
         #: links whose flow count changed since the last rate recompute;
         #: only flows touching these can see a different fair share.
         self._dirty_links: Set[Link] = set()
@@ -406,7 +373,8 @@ class Fabric:
         self._settle()
         now = self.sim.now
         flow.started_at = now
-        self._index_flow(flow)
+        flow._pos = len(self._act)
+        self._act.append(flow)
         dirty = self._dirty_links
         for link in flow.links:
             flows = link.flows
@@ -419,65 +387,32 @@ class Fabric:
 
     # -- fluid model core -----------------------------------------------------------
 
-    def _index_flow(self, flow: Flow) -> None:
-        """Give ``flow`` a slot in the parallel arrays (it becomes active)."""
-        pos = self._n
-        self._act.append(flow)
-        if pos == len(self._rem):
-            self._rem = _np.concatenate([self._rem, _np.zeros(pos)])
-            self._rates = _np.concatenate([self._rates, _np.zeros(pos)])
-        self._rem[pos] = flow._remaining
-        self._rates[pos] = flow._rate
-        flow._pos = pos
-        self._n = pos + 1
-
-    def _deindex_flow(self, flow: Flow) -> None:
-        """Release ``flow``'s slot (swap-remove with the last active flow)."""
-        pos = flow._pos
-        last = self._n - 1
-        rem = self._rem
-        rates = self._rates
-        flow._remaining = float(rem[pos])
-        flow._rate = float(rates[pos])
-        act = self._act
-        if pos != last:
-            moved = act[last]
-            act[pos] = moved
-            moved._pos = pos
-            rem[pos] = rem[last]
-            rates[pos] = rates[last]
-        act.pop()
-        flow._pos = -1
-        self._n = last
-
     def _settle(self) -> None:
         """Advance every active flow's progress from _last_settle to now.
 
         Link busy time is *not* accumulated here: each link tracks its own
         busy interval (``_busy_since``) opened when its first flow arrives
         and closed when its last flow leaves, so settling costs O(active
-        flows), not O(all links in the fabric) — and walks the slot
-        arrays, not the Flow objects.
+        flows), not O(all links in the fabric).
         """
         now = self.sim.now
         elapsed = now - self._last_settle
         if elapsed > 0:
-            n = self._n
-            rem = self._rem
-            rates = self._rates
-            if n >= _VECTOR_MIN:
-                view = rem[:n]
-                view -= rates[:n] * elapsed
-                _np.maximum(view, 0.0, out=view)
-            else:
-                for index in range(n):
-                    left = rem[index] - rates[index] * elapsed
-                    rem[index] = left if left > 0.0 else 0.0
+            for flow in self._act:
+                left = flow.remaining - flow.rate * elapsed
+                flow.remaining = left if left > 0.0 else 0.0
         self._last_settle = now
 
     def _remove_flow(self, flow: Flow) -> None:
-        if flow._pos >= 0:
-            self._deindex_flow(flow)
+        pos = flow._pos
+        if pos >= 0:
+            # Swap-remove: the last active flow takes over this index.
+            act = self._act
+            moved = act.pop()
+            if moved is not flow:
+                act[pos] = moved
+                moved._pos = pos
+            flow._pos = -1
         now = self.sim.now
         dirty = self._dirty_links
         for link in flow.links:
@@ -501,7 +436,6 @@ class Fabric:
         """
         dirty = self._dirty_links
         if dirty:
-            rates = self._rates
             for link in dirty:
                 for flow in link.flows:
                     links = flow.links
@@ -510,29 +444,17 @@ class Fabric:
                         share = other.fair_share()
                         if share < rate:
                             rate = share
-                    rates[flow._pos] = rate
+                    flow.rate = rate
             dirty.clear()
         self._wakeup_token += 1
         token = self._wakeup_token
         next_finish = math.inf
-        n = self._n
-        if n:
-            rem = self._rem
-            rates = self._rates
-            if n >= _VECTOR_MIN:
-                rates_view = rates[:n]
-                mask = rates_view > 0.0
-                if mask.any():
-                    next_finish = float((rem[:n][mask] / rates_view[mask]).min())
-            else:
-                for index in range(n):
-                    rate = rates[index]
-                    if rate > 0:
-                        finish = rem[index] / rate
-                        if finish < next_finish:
-                            # A Python float, so no numpy scalar reaches
-                            # the simulated clock.
-                            next_finish = float(finish)
+        for flow in self._act:
+            rate = flow.rate
+            if rate > 0:
+                finish = flow.remaining / rate
+                if finish < next_finish:
+                    next_finish = finish
         if math.isfinite(next_finish):
             self.sim.call_after(
                 max(next_finish, _MIN_WAKEUP), lambda: self._on_wakeup(token)
@@ -542,13 +464,7 @@ class Fabric:
         if token != self._wakeup_token:
             return  # superseded by a more recent recompute
         self._settle()
-        n = self._n
-        rem = self._rem
-        if n >= _VECTOR_MIN:
-            done_idx = _np.nonzero(rem[:n] <= _EPS)[0]
-            finished = [self._act[index] for index in done_idx]
-        else:
-            finished = [self._act[index] for index in range(n) if rem[index] <= _EPS]
+        finished = [flow for flow in self._act if flow.remaining <= _EPS]
         for flow in finished:
             self._remove_flow(flow)
             flow.finished_at = self.sim.now

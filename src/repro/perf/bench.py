@@ -172,8 +172,8 @@ def bench_churn_1k(
     """Fleet-scale churn: 1024 NICs.
 
     The workload the nightly 1k-machine chaos campaign stresses — wide
-    fabric, hundreds of concurrent flows — so the array-backed settle is
-    on the measured path.
+    fabric, hundreds of concurrent flows — so settling a long active-flow
+    list is on the measured path.
     """
     best = max(
         churn_events_per_sec(num_machines, num_flows) for _ in range(max(1, repeats))

@@ -145,14 +145,21 @@ def test_macro_ticks_bit_exact_under_degradations(name, mix):
 def test_macro_ticks_metrics_match_per_iteration(name):
     """Exported metrics agree too, CPU-memory commit counters included (a
     macro tick counts the store writes its replayed commits stand for);
-    only the DES's own event counters differ."""
+    only the DES's own event counters differ.  Each ``checkpoint.commit``
+    tracer instant is stamped at its commit's boundary, so a replayed
+    commit reads the same time as the per-iteration one."""
 
-    def metrics(macro_ticks):
+    def observed(macro_ticks):
         obs = Observability()
         run_once(name, 0, macro_ticks=macro_ticks, obs=obs)
-        return exported(obs)
+        commits = [
+            (instant.time, instant.args["iteration"])
+            for instant in obs.tracer.instants
+            if instant.name == "checkpoint.commit"
+        ]
+        return exported(obs), commits
 
-    assert metrics(True) == metrics(False)
+    assert observed(True) == observed(False)
 
 
 # ------------------------------------------------------- commit intervals

@@ -210,9 +210,9 @@ class TestSimultaneousFailures:
 
 class TestClockTypes:
     def test_remote_retrieval_keeps_clock_a_python_float(self):
-        """Fabric finish times come out of numpy slot arrays; they must
-        reach the simulated clock, the recovery record and the trace as
-        plain floats (``np.float64`` is a float subclass, hence ``type``)."""
+        """Fabric finish times must reach the simulated clock, the
+        recovery record and the trace as plain floats, not a float
+        subclass (hence ``type``, not ``isinstance``)."""
         from repro.core.kernel import KernelListener
         from repro.core.recovery import RetrievalSource
         from repro.trace import TraceKind

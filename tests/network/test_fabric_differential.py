@@ -1,32 +1,35 @@
 """Differential test: optimized fabric vs the naive reference fluid model.
 
 The incremental fabric (dirty-link recompute, interval busy accounting)
-and :mod:`repro.network.reference` share only the model spec — per-link
-equal-split fair shares, bottleneck min across a flow's links, sub-eps
-residues completing at completion events.  Running both over randomized
+and the naive model in ``tests/network/reference.py`` share only the
+model spec — per-link equal-split fair shares, bottleneck min across a
+flow's links, sub-eps residues completing at completion events.  Running both over randomized
 workloads and requiring matching completion times catches any bookkeeping
-bug the incremental path could introduce.  The wide workloads hold enough
-flows at once to switch the fabric between its scalar and vector paths
-in both directions and to grow its slot arrays.
+bug the incremental path could introduce.  The wide workloads hold more
+than 64 flows active at once and then drain the fabric to none, so the
+swap-remove bookkeeping of a long active-flow list is exercised at both
+ends.
 """
 
 import random
 
 import pytest
 
-from repro.network.fabric import _INITIAL_SLOTS, _VECTOR_MIN, Fabric
-from repro.network.reference import (
+from repro.network.fabric import Fabric
+from repro.network.topology import Position, RackTopology
+from repro.sim import Simulator
+from tests.network.reference import (
     FlowSpec,
     PathFlowSpec,
     reference_completion_times,
     reference_completion_times_multilink,
 )
-from repro.network.topology import Position, RackTopology
-from repro.sim import Simulator
 
 NUM_WORKLOADS = 120
 NUM_WIDE_WORKLOADS = 6
 NUM_MULTIHOP_WORKLOADS = 60
+#: the wide workloads must hold more than this many flows active at once.
+WIDE_MIN_ACTIVE = 64
 
 
 def random_workload(seed):
@@ -57,7 +60,7 @@ def wide_workload(seed):
     """100-200 flows starting 0.1 s apart on 8-16 machines.
 
     Flows outlast the stagger, so the active count climbs past
-    ``_VECTOR_MIN`` and ``_INITIAL_SLOTS`` before draining back to zero.
+    ``WIDE_MIN_ACTIVE`` before draining back to zero.
     """
     rng = random.Random(seed)
     machines = [f"m{i}" for i in range(rng.randint(8, 16))]
@@ -78,25 +81,32 @@ def wide_workload(seed):
 
 
 def fabric_completion_times(capacities, specs):
-    """Run the same workload through the real DES fabric."""
+    """Run the same workload through the real DES fabric.
+
+    Returns the finish times, the most flows active at once (sampled at
+    every launch) and the active-flow count after the run.
+    """
     sim = Simulator()
     fabric = Fabric(sim)
     for name, capacity in capacities.items():
         fabric.attach(name, capacity)
     flows = [None] * len(specs)
+    peak_active = 0
 
     def launch(index):
+        nonlocal peak_active
         spec = specs[index]
         flow = fabric.transfer(
             spec.src, spec.dst, spec.nbytes, tag=f"diff{index}", alpha=spec.alpha
         )
         flow.done._defuse()
         flows[index] = flow
+        peak_active = max(peak_active, len(fabric._act))
 
     for index, spec in enumerate(specs):
         sim.call_at(spec.start, lambda index=index: launch(index))
     sim.run()
-    return [flow.finished_at for flow in flows], len(fabric._rem)
+    return [flow.finished_at for flow in flows], peak_active, len(fabric._act)
 
 
 @pytest.mark.parametrize(
@@ -110,12 +120,11 @@ def fabric_completion_times(capacities, specs):
 def test_fabric_matches_reference(workload, seed):
     capacities, specs = workload(seed)
     expected = reference_completion_times(capacities, specs)
-    actual, slots = fabric_completion_times(capacities, specs)
+    actual, peak_active, final_active = fabric_completion_times(capacities, specs)
     if workload is wide_workload:
-        # The slot arrays grew, so more than _INITIAL_SLOTS > _VECTOR_MIN
-        # flows were active at once, and the run drained them all: the
-        # active count crossed the vector threshold in both directions.
-        assert slots > _INITIAL_SLOTS > _VECTOR_MIN
+        # Many flows were active at once, and the run drained them all.
+        assert peak_active > WIDE_MIN_ACTIVE
+        assert final_active == 0
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert want is not None, f"reference never finished flow {index}"
